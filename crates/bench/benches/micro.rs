@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks of the substrates: ring collectives with
 //! real data movement, GEMM, the event engine, and plan costing.
 
+use coconet_compress::WireFormat;
 use coconet_core::CommConfig;
-use coconet_runtime::{ring_all_reduce, Group, RankComm};
+use coconet_runtime::{ring_all_reduce_wire_striped, Group, RankComm};
 use coconet_sim::{Simulator, TaskGraph};
 use coconet_tensor::{DType, ReduceOp, Tensor};
 use coconet_topology::MachineSpec;
@@ -20,7 +21,14 @@ fn bench_ring_allreduce(c: &mut Criterion) {
                     thread::spawn(move || {
                         let group = Group { start: 0, size: 4 };
                         let input = Tensor::full([16 * 1024], DType::F32, comm.rank() as f32);
-                        ring_all_reduce(&comm, group, &input, ReduceOp::Sum)
+                        ring_all_reduce_wire_striped(
+                            &comm,
+                            group,
+                            &input,
+                            ReduceOp::Sum,
+                            WireFormat::Dense,
+                            1,
+                        )
                     })
                 })
                 .collect();

@@ -43,8 +43,8 @@ use coconet_core::{
     KernelStep, ReduceOp as CoreReduceOp, Step,
 };
 use coconet_runtime::{
-    ring_all_reduce, ring_all_reduce_wire_bytes, run_ranks, BytesLedger, Group, StreamExecutor,
-    PRIORITY_CLASSES,
+    ring_all_reduce_wire_bytes, ring_all_reduce_wire_striped, run_ranks, BytesLedger, Group,
+    StreamExecutor, PRIORITY_CLASSES,
 };
 use coconet_sim::Simulator;
 use coconet_tensor::{DType, ReduceOp, Tensor};
@@ -359,11 +359,13 @@ fn timed_run(sched: CommSched) -> (f64, Vec<Tensor>, BytesLedger, Vec<u64>) {
                 // The barrier: every gradient synchronized by a
                 // blocking collective before the next forward.
                 for (l, g) in grads.into_iter().enumerate() {
-                    let reduced = ring_all_reduce(
+                    let reduced = ring_all_reduce_wire_striped(
                         &comm,
                         group,
                         &g.expect("backward produced it"),
                         ReduceOp::Sum,
+                        WireFormat::Dense,
+                        1,
                     );
                     apply_update(&mut params[l], &reduced);
                 }
@@ -379,7 +381,8 @@ fn timed_run(sched: CommSched) -> (f64, Vec<Tensor>, BytesLedger, Vec<u64>) {
                 move |l, iter, p| local_grad(l, iter, rank, p),
                 |_, p, g| apply_update(p, g),
             );
-            (exec.params(), exec.completion_log().to_vec())
+            let log = exec.completion_events().iter().map(|c| c.id).collect();
+            (exec.params(), log)
         };
         let wall = start.elapsed();
         assert!(sink.is_finite());

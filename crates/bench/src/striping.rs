@@ -1,9 +1,10 @@
 //! Measured multi-channel striping rows: real ring AllReduces swept
 //! over the channel count.
 //!
-//! `channels = 1` takes the legacy copy-on-write engine; every wider
-//! width takes the striped engine, whose fused out-of-place folds and
-//! preallocated gather buffer write fewer bytes per element. The
+//! Every width runs the same ring engine — fused out-of-place folds,
+//! gathered stripes decoded straight into one output — so what the
+//! sweep measures is the lanes themselves: with more than one, a rank
+//! folds one stripe while its neighbour still produces the next. The
 //! `ablation_channels` trajectory row gates three properties at the
 //! acceptance geometry: the best multi-channel width strictly beats a
 //! single channel, the per-rank wire volume is byte-exact against the
@@ -34,9 +35,9 @@ pub const CH_WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 /// Cap on the gated speedup, mirroring
 /// [`GATED_SPEEDUP_CAP`](crate::zerocopy::GATED_SPEEDUP_CAP) at a
-/// scale fit to this row: the striped engine's win is a memory-traffic
-/// ratio (~1.3x of writes saved), so the measured wall ratio is both
-/// smaller and noisier than the zero-copy row's. Capping the recorded
+/// scale fit to this row: the multi-lane win is pipelining inside one
+/// engine (~1.1x), so the measured wall ratio is both smaller and
+/// noisier than the zero-copy row's. Capping the recorded
 /// speedup at 1.1x keeps the committed baseline machine-independent —
 /// every healthy release run measures above it — while any real
 /// striping regression collapses the ratio below 1 and fails both the
@@ -64,7 +65,7 @@ pub struct ChannelsRow {
 }
 
 impl ChannelsRow {
-    /// The single-channel (legacy engine) wall.
+    /// The single-channel wall.
     pub fn single_s(&self) -> f64 {
         self.walls
             .iter()

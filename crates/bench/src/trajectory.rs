@@ -439,9 +439,9 @@ fn kernel_throughput_experiment() -> (ExperimentResult, Vec<String>) {
 /// [`CH_ELEMS`](crate::striping::CH_ELEMS) F32 elements over
 /// [`CH_RANKS`](crate::striping::CH_RANKS) rank threads, swept over
 /// channels ∈ {1, 2, 4, 8}. The row's baseline is the single-channel
-/// (legacy engine) wall capped at `best × CH_SPEEDUP_CAP` and its
-/// `coconet_s` is the best multi-channel wall, so the gated speedup is
-/// the striped engine's win. Contract violations — no multi-channel
+/// wall capped at `best × CH_SPEEDUP_CAP` and its `coconet_s` is the
+/// best multi-channel wall, so the gated speedup is the multi-lane win
+/// of the one ring engine. Contract violations — no multi-channel
 /// width strictly faster (enforced in release builds, where the
 /// committed gate runs), a width off the analytic wire volume, a
 /// bitwise divergence from one channel — are gate failures.

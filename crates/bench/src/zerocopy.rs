@@ -12,14 +12,16 @@
 //!   the copy-bound path the paper targets;
 //! - `ledger_allreduce` — the [`BytesLedger`] of the same run against
 //!   the analytic ring volume, proving the wire traffic is exactly
-//!   `2·(p−1)/p·n·dtype_size` per rank and the only materializations
-//!   are the reduction's chunk detaches plus the output buffer.
+//!   `2·(p−1)/p·n·dtype_size` per rank, nothing is copied on write, and
+//!   the only materializations are the reduction's fused fold outputs
+//!   plus the output buffer.
 
 use std::time::{Duration, Instant};
 
+use coconet_compress::WireFormat;
 use coconet_runtime::{
-    chunk_range, ring_all_reduce, ring_all_reduce_wire_bytes, run_ranks, BytesLedger, Group,
-    RankComm,
+    chunk_range, ring_all_reduce_wire_bytes, ring_all_reduce_wire_striped, run_ranks, BytesLedger,
+    Group, RankComm,
 };
 use coconet_tensor::{DType, ReduceOp, Tensor};
 
@@ -71,8 +73,14 @@ impl ZeroCopyRow {
     }
 
     /// The copy-on-write bytes a minimal ring AllReduce must
-    /// materialize: the `(p−1)/p` chunk detaches of the reduction.
+    /// materialize: none — every fold writes a fresh buffer.
     pub fn expected_cow_bytes(&self) -> u64 {
+        0
+    }
+
+    /// The bytes of the reduction's fused fold outputs: `(p−1)/p` of
+    /// the tensor, one fresh chunk per received partial.
+    fn fold_bytes(&self) -> u64 {
         ((self.ranks - 1) * (self.elems / self.ranks) * DType::F32.size_bytes()) as u64
     }
 
@@ -80,26 +88,37 @@ impl ZeroCopyRow {
     /// exactly its analytic volume and copied nothing beyond it).
     pub fn ledger_violations(&self) -> Vec<String> {
         let mut v = Vec::new();
-        if self.ledger.bytes_sent != self.analytic_bytes {
+        let l = &self.ledger;
+        if l.bytes_sent != self.analytic_bytes {
             v.push(format!(
                 "ring AllReduce sent {} bytes per rank, analytic volume is {}",
-                self.ledger.bytes_sent, self.analytic_bytes
+                l.bytes_sent, self.analytic_bytes
             ));
         }
-        if self.ledger.cow_bytes != self.expected_cow_bytes() {
+        let hops = 2 * (self.ranks as u64 - 1);
+        if l.sends != hops {
             v.push(format!(
-                "ring AllReduce copied {} bytes on write, the reduction needs exactly {}",
-                self.ledger.cow_bytes,
-                self.expected_cow_bytes()
+                "ring AllReduce sent {} messages per rank, the schedule has {hops} hops",
+                l.sends
             ));
         }
-        // The reduction's detaches plus exactly one output buffer.
+        if l.cow_bytes != self.expected_cow_bytes() || l.cow_copies != 0 {
+            v.push(format!(
+                "ring AllReduce copied {} bytes on write in {} copies, expected none",
+                l.cow_bytes, l.cow_copies
+            ));
+        }
+        // The reduction's fold outputs plus exactly one output buffer.
         let out_bytes = (self.elems * DType::F32.size_bytes()) as u64;
-        if self.ledger.bytes_allocated != self.expected_cow_bytes() + out_bytes {
+        if l.allocations != self.ranks as u64 || l.bytes_allocated != self.fold_bytes() + out_bytes
+        {
             v.push(format!(
-                "ring AllReduce allocated {} bytes, expected {} (chunk detaches + output)",
-                self.ledger.bytes_allocated,
-                self.expected_cow_bytes() + out_bytes
+                "ring AllReduce allocated {} bytes in {} buffers, expected {} in {} \
+                 (fold outputs + output)",
+                l.bytes_allocated,
+                l.allocations,
+                self.fold_bytes() + out_bytes,
+                self.ranks
             ));
         }
         v
@@ -147,7 +166,7 @@ fn timed_run(elems: usize, ranks: usize, deep: bool) -> (f64, BytesLedger) {
         let out = if deep {
             deep_copy_ring_all_reduce(&comm, group, &input, ReduceOp::Sum)
         } else {
-            ring_all_reduce(&comm, group, &input, ReduceOp::Sum)
+            ring_all_reduce_wire_striped(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1)
         };
         let elapsed = start.elapsed();
         assert_eq!(out.numel(), elems);
@@ -251,7 +270,14 @@ mod tests {
             let group = Group { start: 0, size: k };
             let input = Tensor::from_fn([10], DType::F32, |i| (comm.rank() * 10 + i) as f32);
             let deep = deep_copy_ring_all_reduce(&comm, group, &input, ReduceOp::Sum);
-            let fast = ring_all_reduce(&comm, group, &input, ReduceOp::Sum);
+            let fast = ring_all_reduce_wire_striped(
+                &comm,
+                group,
+                &input,
+                ReduceOp::Sum,
+                WireFormat::Dense,
+                1,
+            );
             (deep, fast)
         });
         for (deep, fast) in &results {

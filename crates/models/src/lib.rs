@@ -14,10 +14,7 @@
 //!   ([`training::train_data_parallel`]) that proves top-k gradient
 //!   compression with error feedback converges like the dense wire;
 //! - [`inference`] — the end-to-end inference models behind §6.2.2 and
-//!   Table 5;
-//! - [`serving`] — the long-lived tuning loop over a bounded plan
-//!   cache: repeated (program, geometry) requests are answered from
-//!   memory, bit-identical to the cold search.
+//!   Table 5.
 
 #![warn(missing_docs)]
 
@@ -27,10 +24,8 @@ pub mod memory;
 pub mod model_parallel;
 pub mod optimizers;
 pub mod pipeline;
-pub mod serving;
 pub mod training;
 
 pub use configs::ModelConfig;
 pub use memory::{MemoryModel, Strategy};
 pub use optimizers::{Hyper, Optimizer, OptimizerSchedule};
-pub use serving::{ServeLoop, ServeOutcome};

@@ -277,7 +277,7 @@ impl DataParallelRun {
 /// common synthetic regression problem (`y = X·w* + noise`, all drawn
 /// from the deterministic counter RNG), computes its local gradient,
 /// and the gradient mean travels through
-/// [`all_reduce_wire`](coconet_runtime::all_reduce_wire) under
+/// [`all_reduce_wire_striped`](coconet_runtime::all_reduce_wire_striped) under
 /// `spec.format` — with a *persistent per-rank
 /// [`ErrorFeedback`](coconet_compress::ErrorFeedback) residual*, so
 /// the top-k wire re-injects everything it ever dropped. Every rank
@@ -285,7 +285,9 @@ impl DataParallelRun {
 /// replicated throughout.
 pub fn train_data_parallel(spec: &DataParallelSpec) -> DataParallelRun {
     use coconet_compress::ErrorFeedback;
-    use coconet_runtime::{all_reduce_scalar, all_reduce_wire, run_ranks, Group, StreamExecutor};
+    use coconet_runtime::{
+        all_reduce_scalar, all_reduce_wire_striped, run_ranks, Group, StreamExecutor,
+    };
     use coconet_tensor::{CounterRng, Tensor};
 
     let s = *spec;
@@ -373,7 +375,7 @@ pub fn train_data_parallel(spec: &DataParallelSpec) -> DataParallelRun {
                         .sum::<f32>()
             });
             comm.reset_ledger();
-            let global_grad = all_reduce_wire(
+            let global_grad = all_reduce_wire_striped(
                 &comm,
                 group,
                 &grad,
@@ -382,6 +384,7 @@ pub fn train_data_parallel(spec: &DataParallelSpec) -> DataParallelRun {
                 0,
                 s.format,
                 Some(&mut feedback),
+                1,
             );
             grad_bytes += comm.ledger().bytes_sent;
             let step = s.lr / (1.0 + s.lr_decay * t as f32);

@@ -6,19 +6,22 @@
 //! with reductions accumulated in `f32` like the generated mixed-
 //! precision kernels.
 //!
-//! Data movement is minimal by construction: chunks travel as
-//! copy-on-write buffer handles (a send copies nothing), reductions
-//! fold the incoming chunk into the local one in place, and the only
-//! materializations are the one detach-copy per chunk the first
-//! reduction performs plus the final output assembly — which is what
-//! the [`BytesLedger`](crate::BytesLedger) suite asserts.
+//! Every ring collective runs the one poll-driven engine in
+//! [`crate::stream`]: the blocking entry points here enqueue a single
+//! job and wait for it. Data movement is minimal by construction:
+//! chunks travel as copy-on-write buffer handles (a send copies
+//! nothing), every fold writes a fresh stripe through a fused
+//! out-of-place kernel (nothing is copied on write), and the only
+//! other materialization is the final output — which is what the
+//! [`BytesLedger`](crate::BytesLedger) suite asserts.
 
 use coconet_compress::WireFormat;
-use coconet_tensor::{kernels, DType, ReduceOp, Tensor, F16};
+use coconet_tensor::{DType, ReduceOp, Tensor};
 use coconet_trace as trace;
 use coconet_trace::metrics::Counter;
 use coconet_trace::EventKind;
 
+use crate::stream::{run_ring, RingKind};
 use crate::RankComm;
 
 /// The most lanes a collective will stripe across. The streaming
@@ -154,254 +157,17 @@ pub fn chunk_range(numel: usize, k: usize, c: usize) -> (usize, usize) {
     (start, len)
 }
 
-/// Ring ReduceScatter: every rank contributes its full local tensor;
-/// rank at group position `i` returns with the fully reduced chunk `i`
-/// (flattened element range `chunk_range(numel, k, i)`).
-///
-/// The local contribution is held as `k` zero-copy chunk views; each
-/// chunk detaches (one chunk-sized copy-on-write materialization) the
-/// first — and only — time an incoming partial is reduced into it, so
-/// the whole ReduceScatter copies `(k−1)/k` of the tensor once and
-/// nothing else.
-pub fn ring_reduce_scatter(comm: &RankComm, group: Group, input: &Tensor, op: ReduceOp) -> Tensor {
-    ring_reduce_scatter_wire(comm, group, input, op, WireFormat::Dense)
-}
-
-/// [`ring_reduce_scatter`] with the payload encoded per `wire` on
-/// every hop: under FP16 each partial sum is rounded to half precision
-/// before it travels (the per-hop rounding a real FP16-wire collective
-/// performs) and widened back before the fold, halving the bytes the
-/// [`BytesLedger`](crate::BytesLedger) records. The dense wire is
-/// byte- and allocation-identical to [`ring_reduce_scatter`].
-pub fn ring_reduce_scatter_wire(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    wire: WireFormat,
-) -> Tensor {
-    let k = group.size;
-    let me = group.position(comm.rank());
-    let n = input.numel();
-    if k == 1 {
-        return input.slice_flat(0, n).expect("full range");
-    }
-    let _phase = trace::span(EventKind::CollectivePhase, "ring:rs", n as u64, k as u64);
-    let dtype = input.dtype();
-    let mut chunks: Vec<Tensor> = (0..k)
-        .map(|c| {
-            let (off, len) = chunk_range(n, k, c);
-            input.slice_flat(off, len).expect("in range")
-        })
-        .collect();
-    // Textbook ring RS shifted so position i ends owning chunk i: run
-    // the schedule of a virtual position j = i - 1 (mod k).
-    let j = (me + k - 1) % k;
-    for step in 0..k - 1 {
-        let send_c = (j + k - step % k) % k;
-        let recv_c = (j + k - step - 1) % k;
-        comm.send(group.next(comm.rank()), wire_encode(&chunks[send_c], wire));
-        let incoming = wire_decode(comm.recv(group.prev(comm.rank())), wire, dtype);
-        chunks[recv_c]
-            .reduce_assign(&incoming, op)
-            .expect("ring chunks agree on geometry");
-    }
-    chunks.swap_remove(me)
-}
-
-/// Ring AllGather: every rank contributes its chunk (position `i`
-/// contributes chunk `i`); returns the flat concatenation of all
-/// chunks, in position order. Every hop forwards a buffer handle —
-/// the gather allocates nothing.
-pub fn ring_all_gather(comm: &RankComm, group: Group, chunk: &Tensor) -> Vec<Tensor> {
-    ring_all_gather_wire(comm, group, chunk, WireFormat::Dense)
-}
-
-/// [`ring_all_gather`] with the payload encoded per `wire`: the owned
-/// chunk is encoded once on entry, every hop forwards the *encoded*
-/// buffer handle (no re-rounding, no copies), and every chunk is
-/// decoded back to the input's element type at the end. The dense wire
-/// is byte- and allocation-identical to [`ring_all_gather`].
-pub fn ring_all_gather_wire(
-    comm: &RankComm,
-    group: Group,
-    chunk: &Tensor,
-    wire: WireFormat,
-) -> Vec<Tensor> {
-    let k = group.size;
-    let me = group.position(comm.rank());
-    let dtype = chunk.dtype();
-    if k == 1 {
-        return vec![chunk.clone()];
-    }
-    let _phase = trace::span(
-        EventKind::CollectivePhase,
-        "ring:ag",
-        chunk.numel() as u64,
-        k as u64,
-    );
-    let mut chunks: Vec<Option<Tensor>> = vec![None; k];
-    // On the dense wire a handle copy, under FP16 the one encode this
-    // rank's chunk ever gets.
-    chunks[me] = Some(wire_encode(chunk, wire));
-    for step in 0..k - 1 {
-        let send_c = (me + k - step % k) % k;
-        let recv_c = (me + k - step - 1) % k;
-        let outgoing = chunks[send_c].clone().expect("chunk present by schedule");
-        comm.send(group.next(comm.rank()), outgoing);
-        let incoming = comm.recv(group.prev(comm.rank()));
-        chunks[recv_c] = Some(incoming);
-    }
-    chunks
-        .into_iter()
-        .map(|c| wire_decode(c.expect("all chunks gathered"), wire, dtype))
-        .collect()
-}
-
-/// Ring AllReduce = ReduceScatter + AllGather over flat chunks;
-/// returns the fully reduced tensor with the input's shape.
-pub fn ring_all_reduce(comm: &RankComm, group: Group, input: &Tensor, op: ReduceOp) -> Tensor {
-    ring_all_reduce_wire(comm, group, input, op, WireFormat::Dense)
-}
-
-/// [`ring_all_reduce`] with every hop of both phases encoded per
-/// `wire` — under FP16 the collective moves exactly half the dense
-/// bytes on F32 payloads.
-pub fn ring_all_reduce_wire(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    wire: WireFormat,
-) -> Tensor {
-    let my_chunk = ring_reduce_scatter_wire(comm, group, input, op, wire);
-    let chunks = ring_all_gather_wire(comm, group, &my_chunk, wire);
-    let mut out = Tensor::zeros(input.shape().clone(), input.dtype());
-    let mut off = 0usize;
-    for c in chunks {
-        out.write_flat(off, &c).expect("chunks tile the tensor");
-        off += c.numel();
-    }
-    out
-}
-
-/// Element-type plumbing for the striped ring engine: the two working
-/// dtypes share one generic data path, each monomorphized over its
-/// fused out-of-place reduce kernel.
-trait StripeElem: Copy + Send + Sync + 'static {
-    /// The additive-identity fill for freshly allocated output vectors
-    /// (every element is overwritten before it is read).
-    const ZERO: Self;
-    /// The contiguous storage slice of a tensor of this element type.
-    fn slice(t: &Tensor) -> &[Self];
-    /// `dst[i] = op(a[i], b[i])` through the kernel engine.
-    fn reduce_out(a: &[Self], b: &[Self], dst: &mut [Self], op: ReduceOp);
-    /// Adopts an owned vector as a tensor without a copy.
-    fn tensor_from(shape: coconet_tensor::Shape, data: Vec<Self>) -> Tensor;
-}
-
-impl StripeElem for f32 {
-    const ZERO: f32 = 0.0;
-    fn slice(t: &Tensor) -> &[f32] {
-        t.as_f32_slice().expect("working dtype is F32")
-    }
-    fn reduce_out(a: &[f32], b: &[f32], dst: &mut [f32], op: ReduceOp) {
-        kernels::reduce_f32_out(a, b, dst, op);
-    }
-    fn tensor_from(shape: coconet_tensor::Shape, data: Vec<f32>) -> Tensor {
-        Tensor::from_f32_vec(shape, DType::F32, data).expect("length matches shape")
-    }
-}
-
-impl StripeElem for F16 {
-    const ZERO: F16 = F16::ZERO;
-    fn slice(t: &Tensor) -> &[F16] {
-        t.as_f16_slice().expect("working dtype is F16")
-    }
-    fn reduce_out(a: &[F16], b: &[F16], dst: &mut [F16], op: ReduceOp) {
-        kernels::reduce_f16_out(a, b, dst, op);
-    }
-    fn tensor_from(shape: coconet_tensor::Shape, data: Vec<F16>) -> Tensor {
-        Tensor::from_f16_vec(shape, data).expect("length matches shape")
-    }
-}
-
-/// The striped ReduceScatter phase: every hop's chunk travels as
-/// `channels` lane stripes (lane `s` carries the sub-range
-/// `chunk_range(chunk_len, channels, s)` of *every* chunk, so stripe
-/// bytes partition each hop's payload exactly), and every fold is a
-/// fused out-of-place kernel writing a fresh owned stripe — no
-/// copy-on-write detaches anywhere. Returns the fully reduced stripes
-/// of chunk `me`, in lane order. Bit-identical to the single-lane
-/// schedule: each element sees the same fold sequence, only the
-/// message framing changes.
-fn striped_rs_phase<E: StripeElem>(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    wire: WireFormat,
-    channels: usize,
-) -> Vec<Tensor> {
-    let k = group.size;
-    let me = group.position(comm.rank());
-    let n = input.numel();
-    let dtype = input.dtype();
-    let next = group.next(comm.rank());
-    let prev = group.prev(comm.rank());
-
-    let _phase = trace::span(
-        EventKind::CollectivePhase,
-        "ring:rs-striped",
-        n as u64,
-        channels as u64,
-    );
-    let j = (me + k - 1) % k;
-    // The folded stripes of the chunk received last step — next step's
-    // outgoing payload.
-    let mut carry: Vec<Tensor> = Vec::new();
-    let mut own: Vec<Tensor> = Vec::new();
-    for step in 0..k - 1 {
-        let send_c = (j + k - step % k) % k;
-        let recv_c = (j + k - step - 1) % k;
-        if step == 0 {
-            // Pristine input stripes travel as zero-copy views.
-            let (c_off, c_len) = chunk_range(n, k, send_c);
-            for s in 0..channels {
-                let (s_off, s_len) = chunk_range(c_len, channels, s);
-                let stripe = input.slice_flat(c_off + s_off, s_len).expect("in range");
-                comm.send(next, wire_encode(&stripe, wire));
-            }
-        } else {
-            for stripe in carry.drain(..) {
-                comm.send(next, wire_encode(&stripe, wire));
-            }
-        }
-        let (r_off, r_len) = chunk_range(n, k, recv_c);
-        let mut folded: Vec<Tensor> = Vec::with_capacity(channels);
-        for s in 0..channels {
-            let (s_off, s_len) = chunk_range(r_len, channels, s);
-            let incoming = wire_decode(comm.recv(prev), wire, dtype);
-            let local = input.slice_flat(r_off + s_off, s_len).expect("in range");
-            let mut out = vec![E::ZERO; s_len];
-            E::reduce_out(E::slice(&local), E::slice(&incoming), &mut out, op);
-            folded.push(E::tensor_from(coconet_tensor::Shape::from([s_len]), out));
-        }
-        if recv_c == me {
-            own = folded;
-        } else {
-            carry = folded;
-        }
-    }
-    own
-}
-
-/// [`ring_reduce_scatter_wire`] executed as `channels` concurrent
-/// lanes (see `striped_rs_phase` for the lane geometry). `channels
-/// <= 1` (or a single-rank group) runs the unmodified single-lane
-/// path. Results are bit-identical at every width and the per-rank
-/// ledger byte totals are unchanged — stripe sums partition each
-/// hop's payload.
+/// Ring ReduceScatter striped over `channels` concurrent lanes: every
+/// rank contributes its full local tensor; the rank at group position
+/// `i` returns with the fully reduced flat chunk
+/// `chunk_range(numel, k, i)`. Under the FP16 wire each partial sum is
+/// rounded to half precision before it travels (the per-hop rounding a
+/// real FP16-wire collective performs) and widened back before the
+/// fold, halving the bytes the [`BytesLedger`](crate::BytesLedger)
+/// records. Lane `s` carries the sub-range
+/// `chunk_range(chunk_len, channels, s)` of every chunk, so results
+/// are bit-identical and the per-rank byte totals unchanged at every
+/// width (clamped into `1..=`[`MAX_CHANNELS`]).
 pub fn ring_reduce_scatter_wire_striped(
     comm: &RankComm,
     group: Group,
@@ -410,34 +176,17 @@ pub fn ring_reduce_scatter_wire_striped(
     wire: WireFormat,
     channels: usize,
 ) -> Tensor {
-    let channels = clamp_channels(channels);
-    if channels == 1 || group.size == 1 {
-        return ring_reduce_scatter_wire(comm, group, input, op, wire);
-    }
-    let own = match input.dtype() {
-        DType::F32 => striped_rs_phase::<f32>(comm, group, input, op, wire, channels),
-        DType::F16 => striped_rs_phase::<F16>(comm, group, input, op, wire, channels),
-    };
-    // Reassemble the lane stripes into the contiguous owned chunk.
-    let me = group.position(comm.rank());
-    let (_, me_len) = chunk_range(input.numel(), group.size, me);
-    let mut chunk = Tensor::zeros([me_len], input.dtype());
-    let mut off = 0usize;
-    for stripe in own {
-        chunk
-            .write_flat(off, &stripe)
-            .expect("stripes tile the chunk");
-        off += stripe.numel();
-    }
-    chunk
+    let kind = RingKind::ReduceScatter;
+    run_ring(comm, kind, group, input, op, wire, channels).into_tensor()
 }
 
-/// [`ring_all_gather_wire`] executed as `channels` concurrent lanes:
-/// the owned chunk is encoded once, every hop moves `channels` stripe
-/// views of the encoded buffer (zero-copy, forwarding received stripe
-/// handles untouched), and each gathered chunk reassembles from its
-/// lane stripes at the end. `channels <= 1` (or a single-rank group)
-/// runs the unmodified single-lane path.
+/// Ring AllGather striped over `channels` lanes: every rank
+/// contributes its chunk (position `i` contributes chunk `i`) and
+/// returns all chunks in position order. The own chunk is encoded per
+/// `wire` once, every hop forwards a received buffer handle untouched
+/// (no re-rounding, no copies), and every chunk is decoded once. A
+/// chunk that travelled whole keeps its sender's shape; one assembled
+/// from several lanes is flat.
 pub fn ring_all_gather_wire_striped(
     comm: &RankComm,
     group: Group,
@@ -445,69 +194,17 @@ pub fn ring_all_gather_wire_striped(
     wire: WireFormat,
     channels: usize,
 ) -> Vec<Tensor> {
-    let channels = clamp_channels(channels);
-    let k = group.size;
-    if channels == 1 || k == 1 {
-        return ring_all_gather_wire(comm, group, chunk, wire);
-    }
-    let me = group.position(comm.rank());
-    let dtype = chunk.dtype();
-    let next = group.next(comm.rank());
-    let prev = group.prev(comm.rank());
-
-    let _phase = trace::span(
-        EventKind::CollectivePhase,
-        "ring:ag-striped",
-        chunk.numel() as u64,
-        channels as u64,
-    );
-    let enc = wire_encode(chunk, wire);
-    let enc_dtype = enc.dtype();
-    let own_len = enc.numel();
-    let own_stripes: Vec<Tensor> = (0..channels)
-        .map(|s| {
-            let (s_off, s_len) = chunk_range(own_len, channels, s);
-            enc.slice_flat(s_off, s_len).expect("in range")
-        })
-        .collect();
-
-    let mut gathered: Vec<Option<Tensor>> = vec![None; k];
-    gathered[me] = Some(wire_decode(enc, wire, dtype));
-
-    let mut fwd = own_stripes;
-    for step in 0..k - 1 {
-        let recv_c = (me + k - step - 1) % k;
-        for stripe in fwd.drain(..) {
-            comm.send(next, stripe);
-        }
-        let stripes: Vec<Tensor> = (0..channels).map(|_| comm.recv(prev)).collect();
-        let r_len: usize = stripes.iter().map(Tensor::numel).sum();
-        let mut asm = Tensor::zeros([r_len], enc_dtype);
-        let mut off = 0usize;
-        for s in &stripes {
-            asm.write_flat(off, s).expect("stripes tile the chunk");
-            off += s.numel();
-        }
-        gathered[recv_c] = Some(wire_decode(asm, wire, dtype));
-        fwd = stripes;
-    }
-    gathered
-        .into_iter()
-        .map(|c| c.expect("all chunks gathered"))
-        .collect()
+    let kind = RingKind::AllGather;
+    run_ring(comm, kind, group, chunk, ReduceOp::Sum, wire, channels).into_chunks()
 }
 
-/// [`ring_all_reduce_wire`] executed as `channels` concurrent lanes —
-/// the measured multi-channel data plane. Beyond the lane framing,
-/// the striped engine is cheaper per rank than the single-lane path
-/// by construction: every ReduceScatter fold writes a fresh owned
-/// stripe through the fused kernel (no copy-on-write detaches), and
-/// the AllGather lands decoded stripes directly in the preallocated
-/// output vector the result tensor then adopts without a copy (no
-/// zero-fill-plus-assembly pass). Results are bit-identical to the
-/// single-lane run at every width and the per-rank ledger byte totals
-/// are unchanged; `channels <= 1` (or a single-rank group) runs the
-/// unmodified single-lane path.
+/// Ring AllReduce = ReduceScatter + AllGather in one job, striped over
+/// `channels` lanes with every hop of both phases encoded per `wire`
+/// (under FP16 the collective moves exactly half the dense bytes on
+/// F32 payloads); returns the fully reduced tensor with the input's
+/// shape. Per rank it writes each element about three times: the
+/// `(k−1)/k` fused folds, plus the gather's one decode into the output
+/// buffer, which the result adopts without a copy.
 pub fn ring_all_reduce_wire_striped(
     comm: &RankComm,
     group: Group,
@@ -516,65 +213,7 @@ pub fn ring_all_reduce_wire_striped(
     wire: WireFormat,
     channels: usize,
 ) -> Tensor {
-    let channels = clamp_channels(channels);
-    if channels == 1 || group.size == 1 {
-        return ring_all_reduce_wire(comm, group, input, op, wire);
-    }
-    match input.dtype() {
-        DType::F32 => striped_ring_ar::<f32>(comm, group, input, op, wire, channels),
-        DType::F16 => striped_ring_ar::<F16>(comm, group, input, op, wire, channels),
-    }
-}
-
-fn striped_ring_ar<E: StripeElem>(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    wire: WireFormat,
-    channels: usize,
-) -> Tensor {
-    let k = group.size;
-    let me = group.position(comm.rank());
-    let n = input.numel();
-    let dtype = input.dtype();
-    let next = group.next(comm.rank());
-    let prev = group.prev(comm.rank());
-
-    let own = striped_rs_phase::<E>(comm, group, input, op, wire, channels);
-
-    // --- AllGather phase, gathering straight into the output ---
-    let mut out_vec = vec![E::ZERO; n];
-    // Encode the owned stripes once; the same encoded payloads serve
-    // the sends and the own-chunk round-trip into the output (exactly
-    // the single-lane encode-once / decode-all discipline, so FP16
-    // wires round the own chunk identically).
-    let enc_own: Vec<Tensor> = own.iter().map(|s| wire_encode(s, wire)).collect();
-    let (me_off, me_len) = chunk_range(n, k, me);
-    for (s, enc) in enc_own.iter().enumerate() {
-        let (s_off, s_len) = chunk_range(me_len, channels, s);
-        let dec = wire_decode(enc.clone(), wire, dtype);
-        out_vec[me_off + s_off..me_off + s_off + s_len].copy_from_slice(E::slice(&dec));
-    }
-
-    let mut fwd = enc_own;
-    for step in 0..k - 1 {
-        let recv_c = (me + k - step - 1) % k;
-        for stripe in fwd.drain(..) {
-            comm.send(next, stripe);
-        }
-        let (r_off, r_len) = chunk_range(n, k, recv_c);
-        let mut received: Vec<Tensor> = Vec::with_capacity(channels);
-        for s in 0..channels {
-            let (s_off, s_len) = chunk_range(r_len, channels, s);
-            let enc = comm.recv(prev);
-            let dec = wire_decode(enc.clone(), wire, dtype);
-            out_vec[r_off + s_off..r_off + s_off + s_len].copy_from_slice(E::slice(&dec));
-            received.push(enc);
-        }
-        fwd = received;
-    }
-    E::tensor_from(input.shape().clone(), out_vec)
+    run_ring(comm, RingKind::AllReduce, group, input, op, wire, channels).into_tensor()
 }
 
 /// Broadcast from the group-relative `root` position. The root fans
@@ -628,13 +267,15 @@ pub fn all_reduce_scalar(comm: &RankComm, group: Group, value: f64, op: ReduceOp
             let lo = (value - f64::from(hi)) as f32;
             let t =
                 Tensor::from_f32([2], coconet_tensor::DType::F32, &[hi, lo]).expect("two elements");
-            let reduced = ring_all_reduce(comm, group, &t, op);
+            let reduced = ring_all_reduce_wire_striped(comm, group, &t, op, WireFormat::Dense, 1);
             f64::from(reduced.get(0)) + f64::from(reduced.get(1))
         }
         ReduceOp::Min | ReduceOp::Max => {
             let t = Tensor::from_f32([1], coconet_tensor::DType::F32, &[value as f32])
                 .expect("one element");
-            f64::from(ring_all_reduce(comm, group, &t, op).get(0))
+            f64::from(
+                ring_all_reduce_wire_striped(comm, group, &t, op, WireFormat::Dense, 1).get(0),
+            )
         }
     }
 }
@@ -643,7 +284,21 @@ pub fn all_reduce_scalar(comm: &RankComm, group: Group, value: f64, op: ReduceOp
 mod tests {
     use super::*;
     use crate::comm::run_ranks;
-    use coconet_tensor::DType;
+    use crate::stream::{CommScheduler, Output};
+    use crate::BytesLedger;
+    use coconet_tensor::{DType, F16};
+
+    fn ring_all_reduce(comm: &RankComm, group: Group, input: &Tensor, op: ReduceOp) -> Tensor {
+        ring_all_reduce_wire_striped(comm, group, input, op, WireFormat::Dense, 1)
+    }
+
+    fn ring_reduce_scatter(comm: &RankComm, group: Group, input: &Tensor, op: ReduceOp) -> Tensor {
+        ring_reduce_scatter_wire_striped(comm, group, input, op, WireFormat::Dense, 1)
+    }
+
+    fn ring_all_gather(comm: &RankComm, group: Group, chunk: &Tensor) -> Vec<Tensor> {
+        ring_all_gather_wire_striped(comm, group, chunk, WireFormat::Dense, 1)
+    }
 
     #[test]
     fn chunk_ranges_tile_exactly() {
@@ -872,123 +527,216 @@ mod tests {
         assert_eq!(clamp_channels(MAX_CHANNELS + 9), MAX_CHANNELS);
     }
 
-    /// The striped ring engine is bit-identical to the single-lane
-    /// collectives and moves exactly the same byte volume, across
-    /// wires, dtypes, and awkward geometries (uneven chunks, stripes
-    /// wider than chunks).
+    /// The test-only reference ring: every rank's result computed
+    /// centrally with element loops over the virtual-position
+    /// ReduceScatter schedule — each hop's partial crosses the wire
+    /// (rounded to binary16 on the FP16 wire), the receiver folds
+    /// `op(local, incoming)` rounded to the working dtype, and the
+    /// gather round-trips each owner's chunk through the wire once.
+    /// `inputs[r]` is rank `r`'s full input, or its chunk for an
+    /// AllGather; a singleton group returns its input untouched.
+    fn reference_ring(
+        kind: RingKind,
+        inputs: &[Vec<f32>],
+        dtype: DType,
+        wire: WireFormat,
+    ) -> Vec<Vec<f32>> {
+        let k = inputs.len();
+        if k == 1 {
+            return inputs.to_vec();
+        }
+        let hop = |v: f32| match wire {
+            WireFormat::Fp16 => F16::from_f32(v).to_f32(),
+            _ => v,
+        };
+        let fold = |a: f32, b: f32| match dtype {
+            DType::F16 => F16::from_f32(a + b).to_f32(),
+            DType::F32 => a + b,
+        };
+        let owned: Vec<Vec<f32>> = if kind == RingKind::AllGather {
+            inputs.to_vec()
+        } else {
+            let n = inputs[0].len();
+            let mut partial: Vec<Vec<Vec<f32>>> = inputs
+                .iter()
+                .map(|x| {
+                    (0..k)
+                        .map(|c| {
+                            let (off, len) = chunk_range(n, k, c);
+                            x[off..off + len].to_vec()
+                        })
+                        .collect()
+                })
+                .collect();
+            for step in 0..k - 1 {
+                let sent: Vec<(usize, Vec<f32>)> = (0..k)
+                    .map(|r| {
+                        let c = (r + 2 * k - 1 - step) % k;
+                        (c, partial[r][c].iter().map(|&v| hop(v)).collect())
+                    })
+                    .collect();
+                for r in 0..k {
+                    let (c, incoming) = &sent[(r + k - 1) % k];
+                    let local = &mut partial[r][*c];
+                    for (a, &b) in local.iter_mut().zip(incoming) {
+                        *a = fold(*a, b);
+                    }
+                }
+            }
+            (0..k).map(|r| partial[r][r].clone()).collect()
+        };
+        if kind == RingKind::ReduceScatter {
+            return owned;
+        }
+        let gathered: Vec<f32> = owned.iter().flatten().map(|&v| hop(v)).collect();
+        vec![gathered; k]
+    }
+
+    /// Rank `r`'s per-rank sends of one ring collective over chunks of
+    /// `lens` elements: every ReduceScatter hop ships chunk
+    /// `(r − 1 − step) mod k`, every gather hop chunk `(r − step) mod k`.
+    fn reference_bytes(kind: RingKind, lens: &[usize], r: usize, elem_bytes: usize) -> u64 {
+        let k = lens.len();
+        let steps = 0..k.saturating_sub(1);
+        let rs: usize = steps.clone().map(|t| lens[(r + 2 * k - 1 - t) % k]).sum();
+        let ag: usize = steps.map(|t| lens[(r + k - t) % k]).sum();
+        let elems = match kind {
+            RingKind::AllReduce => rs + ag,
+            RingKind::ReduceScatter => rs,
+            RingKind::AllGather => ag,
+        };
+        (elems * elem_bytes) as u64
+    }
+
+    fn table_input(rank: usize, len: usize, dtype: DType) -> Tensor {
+        Tensor::from_fn([len], dtype, |i| {
+            ((rank * 13 + i * 7) % 29) as f32 * 0.37 - 5.1
+        })
+    }
+
+    /// The one bit-identity table for the ring engine: every kind,
+    /// blocking and streamed, at lane widths {1, 2, 8, wider than any
+    /// chunk}, on both wires and both working dtypes, at geometries
+    /// with uneven chunks, `n < k`, and `k = 1`. Each case asserts the
+    /// result bits against the reference ring and the ledger's wire
+    /// bytes and message counts against the schedule; blocking calls
+    /// leave the per-class counters at zero.
     #[test]
-    fn striped_ring_matches_single_lane_bit_for_bit() {
-        use coconet_compress::WireFormat;
-        for (k, n, channels) in [
-            (4usize, 64usize, 2usize),
-            (4, 67, 4),
-            (8, 96, 8),
-            (3, 7, 4), // stripes wider than some chunks
-            (5, 2, 8), // empty chunks and empty stripes
-        ] {
-            for wire in [WireFormat::Dense, WireFormat::Fp16] {
-                for dtype in [DType::F32, DType::F16] {
-                    let results = run_ranks(k, move |comm| {
-                        let group = Group { start: 0, size: k };
-                        let input = Tensor::from_fn([n], dtype, |i| {
-                            ((comm.rank() * 13 + i * 7) % 29) as f32 - 14.0
-                        });
-                        let single =
-                            ring_all_reduce_wire(&comm, group, &input, ReduceOp::Sum, wire);
-                        comm.reset_ledger();
-                        let lone = comm.ledger();
-                        let striped = ring_all_reduce_wire_striped(
-                            &comm,
-                            group,
-                            &input,
-                            ReduceOp::Sum,
-                            wire,
-                            channels,
-                        );
-                        let delta = comm.ledger();
-                        let single_wire = {
-                            comm.reset_ledger();
-                            let before = comm.ledger();
-                            let _ = ring_all_reduce_wire(&comm, group, &input, ReduceOp::Sum, wire);
-                            let after = comm.ledger();
-                            after.bytes_sent - before.bytes_sent
-                        };
-                        (
-                            single,
-                            striped,
-                            delta.bytes_sent - lone.bytes_sent,
-                            single_wire,
-                        )
-                    });
-                    for (r, (single, striped, striped_bytes, single_bytes)) in
-                        results.iter().enumerate()
-                    {
-                        let label = format!("k={k} n={n} C={channels} {wire} {dtype:?} rank={r}");
-                        assert_eq!(striped.shape(), single.shape(), "{label}");
-                        for i in 0..n {
-                            assert_eq!(
-                                striped.get(i).to_bits(),
-                                single.get(i).to_bits(),
-                                "{label} elem {i}"
-                            );
+    fn ring_engine_matches_the_reference_ring() {
+        const KINDS: [RingKind; 3] = [
+            RingKind::AllReduce,
+            RingKind::ReduceScatter,
+            RingKind::AllGather,
+        ];
+        const WIDTHS: [usize; 4] = [1, 2, 8, 13];
+        let mut cases = Vec::new();
+        for kind in KINDS {
+            for streamed in [false, true] {
+                for channels in WIDTHS {
+                    for wire in [WireFormat::Dense, WireFormat::Fp16] {
+                        for dtype in [DType::F32, DType::F16] {
+                            cases.push((kind, streamed, channels, wire, dtype));
                         }
-                        assert_eq!(striped_bytes, single_bytes, "{label}");
                     }
                 }
             }
         }
-    }
-
-    /// Striped ReduceScatter and AllGather keep the single-lane
-    /// postconditions: position `i` owns chunk `i`, the gather
-    /// reassembles, and composing them equals the striped AllReduce.
-    #[test]
-    fn striped_phases_compose() {
-        let (k, n, channels) = (4usize, 21usize, 4usize);
-        let results = run_ranks(k, move |comm| {
-            let group = Group { start: 0, size: k };
-            let input = Tensor::from_fn([n], DType::F32, |i| ((comm.rank() + 1) * (i + 1)) as f32);
-            let direct = ring_all_reduce_wire_striped(
-                &comm,
-                group,
-                &input,
-                ReduceOp::Sum,
-                coconet_compress::WireFormat::Dense,
-                channels,
-            );
-            let chunk = ring_reduce_scatter_wire_striped(
-                &comm,
-                group,
-                &input,
-                ReduceOp::Sum,
-                coconet_compress::WireFormat::Dense,
-                channels,
-            );
-            let single_chunk = ring_reduce_scatter(&comm, group, &input, ReduceOp::Sum);
-            let gathered = ring_all_gather_wire_striped(
-                &comm,
-                group,
-                &chunk,
-                coconet_compress::WireFormat::Dense,
-                channels,
-            );
-            let mut composed = Tensor::zeros([n], DType::F32);
-            let mut off = 0;
-            for c in gathered {
-                composed.write_flat(off, &c).unwrap();
-                off += c.numel();
+        for (k, n) in [(1usize, 7usize), (2, 8), (4, 21), (6, 4)] {
+            let run_cases = cases.clone();
+            let results = run_ranks(k, move |comm| {
+                let group = Group { start: 0, size: k };
+                let me = comm.rank();
+                run_cases
+                    .iter()
+                    .map(|&(kind, streamed, channels, wire, dtype)| {
+                        let input = if kind == RingKind::AllGather {
+                            table_input(me, chunk_range(n, k, me).1, dtype)
+                        } else {
+                            table_input(me, n, dtype)
+                        };
+                        comm.reset_ledger();
+                        let out = if streamed {
+                            let mut sched = CommScheduler::new();
+                            sched.launch(
+                                kind,
+                                7,
+                                Some(3),
+                                group,
+                                &input,
+                                ReduceOp::Sum,
+                                wire,
+                                channels,
+                            );
+                            sched.wait_output(&comm, 7)
+                        } else {
+                            run_ring(&comm, kind, group, &input, ReduceOp::Sum, wire, channels)
+                        };
+                        let ledger = comm.ledger();
+                        let chunks = match out {
+                            Output::Tensor(t) => vec![t],
+                            Output::Chunks(c) => c,
+                        };
+                        (chunks, ledger)
+                    })
+                    .collect::<Vec<(Vec<Tensor>, BytesLedger)>>()
+            });
+            for (case, &(kind, streamed, channels, wire, dtype)) in cases.iter().enumerate() {
+                let inputs: Vec<Vec<f32>> = (0..k)
+                    .map(|r| {
+                        let len = if kind == RingKind::AllGather {
+                            chunk_range(n, k, r).1
+                        } else {
+                            n
+                        };
+                        table_input(r, len, dtype).to_f32_vec()
+                    })
+                    .collect();
+                let want = reference_ring(kind, &inputs, dtype, wire);
+                let lens: Vec<usize> = (0..k).map(|c| chunk_range(n, k, c).1).collect();
+                let elem_bytes = match wire {
+                    WireFormat::Fp16 => 2,
+                    _ => dtype.size_bytes(),
+                };
+                let lanes = if k == 1 {
+                    0
+                } else {
+                    clamp_channels(channels) as u64
+                };
+                let phases = if kind == RingKind::AllReduce { 2 } else { 1 };
+                for (r, per_rank) in results.iter().enumerate() {
+                    let label = format!(
+                        "k={k} n={n} {kind:?} streamed={streamed} C={channels} {wire} {dtype:?} rank={r}"
+                    );
+                    let (chunks, ledger) = &per_rank[case];
+                    if kind == RingKind::AllGather {
+                        assert_eq!(chunks.len(), k, "{label}");
+                        for (c, chunk) in chunks.iter().enumerate() {
+                            assert_eq!(chunk.numel(), lens[c], "{label} chunk {c}");
+                        }
+                    }
+                    let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+                    let got: Vec<f32> = chunks.iter().flat_map(Tensor::to_f32_vec).collect();
+                    assert_eq!(bits(got), bits(want[r].clone()), "{label}");
+                    for chunk in chunks {
+                        assert_eq!(chunk.dtype(), dtype, "{label}");
+                    }
+                    let sent = reference_bytes(kind, &lens, r, elem_bytes);
+                    let received = reference_bytes(kind, &lens, (r + k - 1) % k, elem_bytes);
+                    assert_eq!(ledger.bytes_sent, sent, "{label}");
+                    assert_eq!(ledger.bytes_received, received, "{label}");
+                    let messages = lanes * (k as u64).saturating_sub(1) * phases;
+                    assert_eq!(ledger.sends, messages, "{label}");
+                    assert_eq!(ledger.recvs, messages, "{label}");
+                    assert_eq!(ledger.cow_bytes, 0, "{label}");
+                    let classed = if streamed { sent } else { 0 };
+                    assert_eq!(ledger.class_bytes_sent[3], classed, "{label}");
+                    assert_eq!(
+                        ledger.class_bytes_sent.iter().sum::<u64>(),
+                        classed,
+                        "{label}"
+                    );
+                }
             }
-            (direct, chunk, single_chunk, composed)
-        });
-        for (r, (direct, chunk, single_chunk, composed)) in results.iter().enumerate() {
-            let (_, len) = chunk_range(n, k, r);
-            assert_eq!(chunk.numel(), len, "rank {r}");
-            assert_eq!(
-                chunk.to_f32_vec(),
-                single_chunk.to_f32_vec(),
-                "rank {r}: striped RS must equal single-lane RS"
-            );
-            assert_eq!(direct.to_f32_vec(), composed.to_f32_vec(), "rank {r}");
         }
     }
 }

@@ -187,11 +187,22 @@ impl RankComm {
     /// Panics if `dst` is out of range or the destination endpoint was
     /// dropped.
     pub fn send_tagged(&self, dst: usize, job: u64, class: u8, msg: WireMsg) {
+        self.send_job(dst, job, Some(class), msg);
+    }
+
+    /// Sends one chunk of job `job` to `dst`, in the per-class ledger
+    /// bucket of `class` — or, for a blocking collective's job
+    /// (`None`), only in the aggregate counters, like a plain send.
+    pub(crate) fn send_job(&self, dst: usize, job: u64, class: Option<u8>, msg: WireMsg) {
         // The per-hop trace instant (with lane attribution) is emitted
         // by the job state machines in [`crate::stream`]; only the
         // volume counter lives here.
-        trace::metrics::add_counter(Counter::WireBytes, msg.wire_bytes() as u64);
-        self.ledger.record_send_class(class, msg.wire_bytes());
+        let bytes = msg.wire_bytes();
+        trace::metrics::add_counter(Counter::WireBytes, bytes as u64);
+        match class {
+            Some(class) => self.ledger.record_send_class(class, bytes),
+            None => self.ledger.record_send(bytes),
+        }
         self.to[dst]
             .send(Packet::Tagged { job, msg })
             .unwrap_or_else(|_| panic!("rank {dst} hung up"));
@@ -301,36 +312,11 @@ impl RankComm {
         }
     }
 
-    /// Receives the next chunk of asynchronous job `job` from `src`
-    /// (blocking). Plain messages and other jobs' chunks encountered on
-    /// the way are stashed, preserving their per-source FIFO order — a
-    /// later-issued job can therefore complete before an earlier one
-    /// without corrupting either stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is out of range or the source endpoint was
-    /// dropped without sending.
-    pub fn recv_tagged(&self, src: usize, job: u64) -> WireMsg {
-        if let Some(msg) = self.take_stashed_tagged(src, job) {
-            return msg;
-        }
-        loop {
-            match self.pull(src, false) {
-                Packet::Plain(msg) => self.plain_stash[src].borrow_mut().push_back(msg),
-                Packet::Tagged { job: j, msg, .. } => {
-                    if j == job {
-                        return msg;
-                    }
-                    self.tagged_stash[src].borrow_mut().push_back((j, msg));
-                }
-            }
-        }
-    }
-
-    /// Non-blocking [`recv_tagged`](RankComm::recv_tagged): drains
-    /// whatever has already arrived from `src` and returns `job`'s next
-    /// chunk if it is among it.
+    /// Receives the next chunk of asynchronous job `job` from `src` if
+    /// it has arrived (non-blocking). Plain messages and other jobs'
+    /// chunks drained on the way are stashed, preserving their
+    /// per-source FIFO order — a later-issued job can therefore
+    /// complete before an earlier one without corrupting either stream.
     pub fn try_recv_tagged(&self, src: usize, job: u64) -> Option<WireMsg> {
         self.try_recv_tagged_attr(src, job, false)
     }
@@ -515,15 +501,15 @@ mod tests {
         c0.send(1, Tensor::full([1], DType::F32, 2.0));
 
         // Pull the later-issued job first: earlier traffic is stashed.
-        match c1.recv_tagged(0, 9) {
-            WireMsg::Tensor(t) => assert_eq!(t.get(0), 90.0),
+        match c1.try_recv_tagged(0, 9) {
+            Some(WireMsg::Tensor(t)) => assert_eq!(t.get(0), 90.0),
             other => panic!("unexpected {other:?}"),
         }
         // The plain stream still arrives in order.
         assert_eq!(c1.recv(0).get(0), 1.0);
         // Job 7's chunks kept their own order.
-        match c1.recv_tagged(0, 7) {
-            WireMsg::Tensor(t) => assert_eq!(t.get(0), 70.0),
+        match c1.try_recv_tagged(0, 7) {
+            Some(WireMsg::Tensor(t)) => assert_eq!(t.get(0), 70.0),
             other => panic!("unexpected {other:?}"),
         }
         match c1.try_recv_tagged(0, 7) {

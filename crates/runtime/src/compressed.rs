@@ -13,7 +13,7 @@
 //! data-independent and the [`BytesLedger`](crate::BytesLedger) can
 //! assert it equals [`sparse_all_reduce_wire_bytes`] to the byte.
 //!
-//! [`all_reduce_wire`] is the dispatch the executor and the training
+//! [`all_reduce_wire_striped`] is the dispatch the executor and the training
 //! loop share: it resolves the configured [`WireFormat`] exactly like
 //! the simulator's cost model does (top-k only for sum AllReduces,
 //! automatic dense switchover past the density where sparse is
@@ -59,38 +59,13 @@ pub fn resolve_all_reduce_format(
 
 /// AllReduce under a full communication configuration: the collective
 /// algorithm *and* the wire format, with the top-k/dense switchover
-/// applied. `feedback` carries the per-rank error-feedback residual
-/// across iterations; pass `None` for one-shot collectives (the
-/// dropped mass is discarded).
-#[allow(clippy::too_many_arguments)]
-pub fn all_reduce_wire(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    algo: CollAlgo,
-    ranks_per_node: usize,
-    format: WireFormat,
-    feedback: Option<&mut ErrorFeedback>,
-) -> Tensor {
-    all_reduce_wire_striped(
-        comm,
-        group,
-        input,
-        op,
-        algo,
-        ranks_per_node,
-        format,
-        feedback,
-        1,
-    )
-}
-
-/// [`all_reduce_wire`] with the dense collectives striped over
-/// `channels` concurrent lanes. The sparse top-k exchange and the
+/// applied, and the dense collectives striped over `channels`
+/// concurrent lanes. `feedback` carries the per-rank error-feedback
+/// residual across iterations; pass `None` for one-shot collectives
+/// (the dropped mass is discarded). The sparse top-k exchange and the
 /// in-network switch keep their single-lane wire (fixed-`k` chunks and
 /// fixed-point superchunks don't stripe); the ring, tree, and
-/// hierarchical paths run their striped engines. Results are
+/// hierarchical paths stripe every hop. Results are
 /// bit-identical to `channels = 1` at every width and the per-rank
 /// byte totals are unchanged.
 #[allow(clippy::too_many_arguments)]
@@ -130,7 +105,7 @@ pub fn all_reduce_wire_striped(
 }
 
 /// The sparse top-k AllReduce (sum only). Callers normally reach it
-/// through [`all_reduce_wire`], which applies the dense switchover;
+/// through [`all_reduce_wire_striped`], which applies the dense switchover;
 /// calling it directly runs the sparse exchange unconditionally.
 ///
 /// Every rank returns the identical dense tensor: the densification of
@@ -242,8 +217,12 @@ pub fn sparse_all_reduce(
 mod tests {
     use super::*;
     use crate::comm::run_ranks;
-    use crate::ring_all_reduce;
+    use crate::ring_all_reduce_wire_striped;
     use coconet_tensor::DType;
+
+    fn ring_all_reduce(comm: &RankComm, group: Group, input: &Tensor, op: ReduceOp) -> Tensor {
+        ring_all_reduce_wire_striped(comm, group, input, op, WireFormat::Dense, 1)
+    }
 
     fn group_of(k: usize) -> Group {
         Group { start: 0, size: k }
@@ -393,7 +372,7 @@ mod tests {
         );
     }
 
-    /// `all_reduce_wire` agrees with the dense reference within the
+    /// `all_reduce_wire_striped` agrees with the dense reference within the
     /// stated tolerances for every format and algorithm.
     #[test]
     fn dispatch_matches_dense_within_tolerance() {
@@ -408,7 +387,7 @@ mod tests {
                 for format in WireFormat::SWEEP {
                     outs.push((
                         format!("{algo}/{format}"),
-                        all_reduce_wire(
+                        all_reduce_wire_striped(
                             &comm,
                             group_of(k),
                             &input,
@@ -417,6 +396,7 @@ mod tests {
                             4,
                             format,
                             None,
+                            1,
                         ),
                     ));
                 }

@@ -804,8 +804,8 @@ fn all_reduce(
 /// ReduceScatter under the options' algorithm and wire format. There
 /// is no binomial tree ReduceScatter (the tree algorithm uses the
 /// ring's, which has the identical postcondition), and no sparse one —
-/// top-k resolves to the dense wire here, exactly as the cost model
-/// prices it.
+/// the collectives run a top-k format on the dense wire, exactly as
+/// the cost model prices it.
 fn reduce_scatter(
     comm: &RankComm,
     group: Group,
@@ -813,7 +813,7 @@ fn reduce_scatter(
     op: ReduceOp,
     opts: RunOptions,
 ) -> Tensor {
-    let wire = rs_ag_format(opts.format);
+    let wire = opts.format;
     match opts.algo {
         // The switch aggregates whole tensors; like the tree it has no
         // scatter/gather form and falls back to the ring (mirroring the
@@ -836,7 +836,7 @@ fn reduce_scatter(
 /// AllGather under the options' algorithm and wire format (tree falls
 /// back to ring and top-k to dense, like ReduceScatter).
 fn all_gather(comm: &RankComm, group: Group, chunk: &Tensor, opts: RunOptions) -> Vec<Tensor> {
-    let wire = rs_ag_format(opts.format);
+    let wire = opts.format;
     match opts.algo {
         CollAlgo::Ring | CollAlgo::Tree | CollAlgo::Switch => {
             ring_all_gather_wire_striped(comm, group, chunk, wire, opts.channels)
@@ -849,15 +849,6 @@ fn all_gather(comm: &RankComm, group: Group, chunk: &Tensor, opts: RunOptions) -
             wire,
             opts.channels,
         ),
-    }
-}
-
-/// The wire format ReduceScatter/AllGather run under: FP16 passes
-/// through, top-k has no sparse RS/AG form and runs dense.
-fn rs_ag_format(format: WireFormat) -> WireFormat {
-    match format {
-        WireFormat::TopK { .. } => WireFormat::Dense,
-        f => f,
     }
 }
 

@@ -96,40 +96,16 @@ fn is_flat(group: Group, node_size: usize) -> bool {
 /// hand-off to the node leader, a direct superchunk exchange across
 /// node leaders over the inter-node fabric, and an intra-node scatter
 /// of the final chunks. Same postcondition as
-/// [`ring_reduce_scatter`](crate::ring_reduce_scatter): group position
-/// `i` returns owning the fully reduced flat chunk
+/// [`ring_reduce_scatter_wire_striped`](crate::ring_reduce_scatter_wire_striped):
+/// group position `i` returns owning the fully reduced flat chunk
 /// `chunk_range(numel, k, i)`.
-pub fn hierarchical_reduce_scatter(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    node_size: usize,
-) -> Tensor {
-    hierarchical_reduce_scatter_wire(comm, group, input, op, node_size, WireFormat::Dense)
-}
-
-/// [`hierarchical_reduce_scatter`] with every payload — the intra-node
-/// ring hops, the leader hand-offs, the inter-node superchunk
-/// exchange, and the final scatter — encoded per `wire`. The dense
-/// wire is byte- and allocation-identical to the plain variant.
-pub fn hierarchical_reduce_scatter_wire(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    node_size: usize,
-    wire: WireFormat,
-) -> Tensor {
-    hierarchical_reduce_scatter_wire_striped(comm, group, input, op, node_size, wire, 1)
-}
-
-/// [`hierarchical_reduce_scatter_wire`] with every phase striped over
-/// `channels` lanes: the intra-node rings run the striped ring engine
-/// and the leader hand-offs, the inter-node superchunk exchange, and
-/// the final scatter each travel as `channels` zero-copy stripe views.
-/// Byte totals and results are unchanged at every width; `channels <=
-/// 1` is the single-lane path.
+///
+/// Every payload — the intra-node ring hops, the leader hand-offs, the
+/// inter-node superchunk exchange, and the final scatter — is encoded
+/// per `wire` and striped over `channels` lanes: the intra-node rings
+/// run the ring engine and every other hop travels as `channels`
+/// zero-copy stripe views. Byte totals and results are unchanged at
+/// every width.
 pub fn hierarchical_reduce_scatter_wire_striped(
     comm: &RankComm,
     group: Group,
@@ -232,38 +208,15 @@ pub fn hierarchical_reduce_scatter_wire_striped(
 /// Hierarchical AllGather: intra-node ring AllGather, a chunk exchange
 /// across node leaders, and an intra-node forward of the remote
 /// chunks. Same postcondition as
-/// [`ring_all_gather`](crate::ring_all_gather): every rank returns all
-/// `k` chunks in group-position order.
-pub fn hierarchical_all_gather(
-    comm: &RankComm,
-    group: Group,
-    chunk: &Tensor,
-    node_size: usize,
-) -> Vec<Tensor> {
-    hierarchical_all_gather_wire(comm, group, chunk, node_size, WireFormat::Dense)
-}
-
-/// [`hierarchical_all_gather`] with every payload encoded per `wire`
-/// (chunks travel encoded across the leader exchange and the
-/// intra-node forward, one decode per chunk per rank at the phase
-/// boundaries). The dense wire is byte- and allocation-identical to
-/// the plain variant.
-pub fn hierarchical_all_gather_wire(
-    comm: &RankComm,
-    group: Group,
-    chunk: &Tensor,
-    node_size: usize,
-    wire: WireFormat,
-) -> Vec<Tensor> {
-    hierarchical_all_gather_wire_striped(comm, group, chunk, node_size, wire, 1)
-}
-
-/// [`hierarchical_all_gather_wire`] with every phase striped over
-/// `channels` lanes: the intra-node ring runs the striped engine and
-/// every chunk of the leader exchange and the intra-node forward
-/// travels as `channels` zero-copy stripe views of its encoded buffer.
-/// Byte totals and results are unchanged at every width; `channels <=
-/// 1` is the single-lane path.
+/// [`ring_all_gather_wire_striped`](crate::ring_all_gather_wire_striped):
+/// every rank returns all `k` chunks in group-position order.
+///
+/// Chunks travel encoded per `wire` across the leader exchange and the
+/// intra-node forward, with one decode per chunk per rank at the phase
+/// boundaries. The intra-node ring runs the ring engine and every
+/// chunk of the leader exchange and the intra-node forward travels as
+/// `channels` zero-copy stripe views of its encoded buffer. Byte
+/// totals and results are unchanged at every width.
 pub fn hierarchical_all_gather_wire_striped(
     comm: &RankComm,
     group: Group,
@@ -350,34 +303,12 @@ pub fn hierarchical_all_gather_wire_striped(
 
 /// Hierarchical AllReduce = hierarchical ReduceScatter ∘ hierarchical
 /// AllGather; returns the fully reduced tensor with the input's shape,
-/// exactly like [`ring_all_reduce`](crate::ring_all_reduce).
-pub fn hierarchical_all_reduce(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    node_size: usize,
-) -> Tensor {
-    hierarchical_all_reduce_wire(comm, group, input, op, node_size, WireFormat::Dense)
-}
-
-/// [`hierarchical_all_reduce`] with every payload of both phases
-/// encoded per `wire` — under FP16 the two-level exchange moves
-/// exactly half the dense bytes on F32 payloads.
-pub fn hierarchical_all_reduce_wire(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    node_size: usize,
-    wire: WireFormat,
-) -> Tensor {
-    hierarchical_all_reduce_wire_striped(comm, group, input, op, node_size, wire, 1)
-}
-
-/// [`hierarchical_all_reduce_wire`] with both phases striped over
-/// `channels` lanes (see the phase functions for the lane geometry).
-/// Bit-identical to the single-lane run at every width.
+/// exactly like
+/// [`ring_all_reduce_wire_striped`](crate::ring_all_reduce_wire_striped).
+/// Both phases run under `wire` — under FP16 the two-level exchange
+/// moves exactly half the dense bytes on F32 payloads — striped over
+/// `channels` lanes (see the phase functions for the lane geometry),
+/// bit-identical to the single-lane run at every width.
 pub fn hierarchical_all_reduce_wire_striped(
     comm: &RankComm,
     group: Group,
@@ -404,8 +335,24 @@ pub fn hierarchical_all_reduce_wire_striped(
 mod tests {
     use super::*;
     use crate::comm::run_ranks;
-    use crate::{ring_all_reduce, ring_reduce_scatter};
+    use crate::{ring_all_reduce_wire_striped, ring_reduce_scatter_wire_striped};
     use coconet_tensor::DType;
+
+    const DENSE: WireFormat = WireFormat::Dense;
+
+    fn ring_all_reduce(comm: &RankComm, group: Group, input: &Tensor, op: ReduceOp) -> Tensor {
+        ring_all_reduce_wire_striped(comm, group, input, op, DENSE, 1)
+    }
+
+    fn hierarchical_all_reduce(
+        comm: &RankComm,
+        group: Group,
+        input: &Tensor,
+        op: ReduceOp,
+        node_size: usize,
+    ) -> Tensor {
+        hierarchical_all_reduce_wire_striped(comm, group, input, op, node_size, DENSE, 1)
+    }
 
     #[test]
     fn hierarchical_allreduce_matches_ring_across_geometries() {
@@ -437,8 +384,17 @@ mod tests {
         let results = run_ranks(k, move |comm| {
             let group = Group { start: 0, size: k };
             let input = Tensor::from_fn([n], DType::F32, |i| i as f32);
-            let hier = hierarchical_reduce_scatter(&comm, group, &input, ReduceOp::Sum, node_size);
-            let ring = ring_reduce_scatter(&comm, group, &input, ReduceOp::Sum);
+            let hier = hierarchical_reduce_scatter_wire_striped(
+                &comm,
+                group,
+                &input,
+                ReduceOp::Sum,
+                node_size,
+                DENSE,
+                1,
+            );
+            let ring =
+                ring_reduce_scatter_wire_striped(&comm, group, &input, ReduceOp::Sum, DENSE, 1);
             (hier, ring)
         });
         for (r, (hier, ring)) in results.iter().enumerate() {
@@ -458,7 +414,7 @@ mod tests {
             let group = Group { start: 0, size: k };
             let me = comm.rank();
             let chunk = Tensor::from_fn([3], DType::F32, |i| (me * 3 + i) as f32);
-            hierarchical_all_gather(&comm, group, &chunk, node_size)
+            hierarchical_all_gather_wire_striped(&comm, group, &chunk, node_size, DENSE, 1)
         });
         for chunks in &results {
             let flat: Vec<f32> = chunks.iter().flat_map(|c| c.to_f32_vec()).collect();

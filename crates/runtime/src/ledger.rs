@@ -322,10 +322,23 @@ mod tests {
     mod collective_volumes {
         use coconet_tensor::{DType, ReduceOp, Tensor};
 
+        use coconet_compress::WireFormat;
+
         use crate::comm::run_ranks;
-        use crate::hierarchical::hierarchical_all_reduce;
-        use crate::tree::tree_all_reduce;
-        use crate::{ring_all_reduce, ring_all_reduce_wire_bytes, BytesLedger, Group};
+        use crate::hierarchical::hierarchical_all_reduce_wire_striped;
+        use crate::tree::tree_all_reduce_wire_striped;
+        use crate::{ring_all_reduce_wire_bytes, ring_all_reduce_wire_striped, BytesLedger, Group};
+
+        const DENSE: WireFormat = WireFormat::Dense;
+
+        fn ring_all_reduce(
+            comm: &crate::RankComm,
+            group: Group,
+            input: &Tensor,
+            op: ReduceOp,
+        ) -> Tensor {
+            ring_all_reduce_wire_striped(comm, group, input, op, DENSE, 1)
+        }
 
         fn metered<T: Send + 'static>(
             k: usize,
@@ -342,9 +355,10 @@ mod tests {
 
         /// The acceptance invariant: a ring AllReduce sends exactly the
         /// analytic `2·(p−1)/p·n·dtype_size` bytes per rank, and the
-        /// only materializations are the `(p−1)/p·n` detach-copy of the
-        /// reduction plus the final output buffer — sends are handle
-        /// transfers, reduces are in place, nothing else is copied.
+        /// only materializations are the `(p−1)/p·n` of fused fold
+        /// outputs plus the final output buffer — sends are handle
+        /// transfers, folds write fresh stripes, nothing is copied on
+        /// write.
         #[test]
         fn ring_all_reduce_moves_exactly_the_analytic_volume() {
             let (k, n, ds) = (4usize, 64usize, DType::F32.size_bytes());
@@ -358,14 +372,15 @@ mod tests {
                 assert_eq!(l.bytes_sent, wire, "rank {rank}");
                 assert_eq!(l.bytes_received, wire, "rank {rank}");
                 assert_eq!(l.sends, 2 * (k as u64 - 1), "rank {rank}");
-                // Reduce-scatter detaches each of the k-1 reduced
-                // chunks once: (k-1)/k of the tensor, copy-on-write.
-                let cow = ((k - 1) * (n / k) * ds) as u64;
-                assert_eq!(l.cow_bytes, cow, "rank {rank}: {l:?}");
-                assert_eq!(l.cow_copies, k as u64 - 1, "rank {rank}");
-                // Plus exactly one fresh buffer: the assembled output.
+                // No buffer is ever written while shared.
+                assert_eq!(l.cow_bytes, 0, "rank {rank}: {l:?}");
+                assert_eq!(l.cow_copies, 0, "rank {rank}");
+                // Reduce-scatter folds each of the k-1 received chunks
+                // into a fresh chunk: (k-1)/k of the tensor. Plus
+                // exactly one more buffer: the gathered output.
+                let folds = ((k - 1) * (n / k) * ds) as u64;
                 assert_eq!(l.allocations, k as u64, "rank {rank}: {l:?}");
-                assert_eq!(l.bytes_allocated, cow + (n * ds) as u64, "rank {rank}");
+                assert_eq!(l.bytes_allocated, folds + (n * ds) as u64, "rank {rank}");
             }
         }
 
@@ -376,7 +391,7 @@ mod tests {
         fn tree_all_reduce_reports_analytic_volume() {
             let (k, n, ds) = (4usize, 64usize, DType::F32.size_bytes());
             let results = metered(k, |comm, group, input| {
-                tree_all_reduce(comm, group, &input, ReduceOp::Sum)
+                tree_all_reduce_wire_striped(comm, group, &input, ReduceOp::Sum, DENSE, 1)
             });
             let total: u64 = results.iter().map(|(_, l)| l.bytes_sent).sum();
             assert_eq!(total, (2 * (k - 1) * n * ds) as u64);
@@ -405,7 +420,15 @@ mod tests {
         fn hierarchical_all_reduce_reports_analytic_volume() {
             let (k, n, ds) = (4usize, 64usize, DType::F32.size_bytes());
             let results = metered(k, |comm, group, input| {
-                hierarchical_all_reduce(comm, group, &input, ReduceOp::Sum, 2)
+                hierarchical_all_reduce_wire_striped(
+                    comm,
+                    group,
+                    &input,
+                    ReduceOp::Sum,
+                    2,
+                    DENSE,
+                    1,
+                )
             });
             let leader = (5 * n / 2 * ds) as u64;
             let member = (5 * n / 4 * ds) as u64;
@@ -464,8 +487,7 @@ mod tests {
         /// always the fixed-point `i32` word, so FP16 changes nothing.
         #[test]
         fn fp16_wire_moves_exactly_half_the_dense_bytes() {
-            use crate::compressed::all_reduce_wire;
-            use coconet_compress::WireFormat;
+            use crate::compressed::all_reduce_wire_striped;
             use coconet_core::CollAlgo;
 
             let k = 4usize;
@@ -475,7 +497,7 @@ mod tests {
                     let input =
                         Tensor::from_fn([64], DType::F32, |i| (comm.rank() * 100 + i) as f32);
                     comm.reset_ledger();
-                    let _ = all_reduce_wire(
+                    let _ = all_reduce_wire_striped(
                         &comm,
                         group,
                         &input,
@@ -484,10 +506,11 @@ mod tests {
                         2,
                         WireFormat::Dense,
                         None,
+                        1,
                     );
                     let dense = comm.ledger();
                     comm.reset_ledger();
-                    let _ = all_reduce_wire(
+                    let _ = all_reduce_wire_striped(
                         &comm,
                         group,
                         &input,
@@ -496,6 +519,7 @@ mod tests {
                         2,
                         WireFormat::Fp16,
                         None,
+                        1,
                     );
                     (dense, comm.ledger())
                 });
@@ -535,7 +559,6 @@ mod tests {
         fn top_k_all_reduce_moves_exactly_the_analytic_volume() {
             use crate::compressed::sparse_all_reduce;
             use crate::top_k_all_reduce_wire_bytes;
-            use coconet_compress::WireFormat;
 
             let n = 1000usize;
             let k_permille = 10u16; // k = 10 entries of 8 bytes

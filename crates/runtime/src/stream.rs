@@ -1,17 +1,23 @@
-//! Barrier-free streaming execution: poll-driven ring collectives
-//! multiplexed over the tagged fabric by a priority scheduler.
+//! The runtime's ring engine and barrier-free streaming execution:
+//! poll-driven collectives multiplexed over the tagged fabric by a
+//! priority scheduler.
 //!
-//! The blocking collectives in [`crate::collectives`] synchronize a
-//! whole group at every call — a training loop built on them ends each
-//! iteration with a global barrier. This module removes the barrier:
-//!
-//! * [`RingJob`] is the ring AllReduce re-expressed as a poll-driven
-//!   state machine. Each poll advances at most one chunk hop (one send
-//!   and/or one receive+fold), so many jobs interleave on one rank
-//!   thread at chunk granularity. The arithmetic — chunk geometry,
-//!   virtual-position schedule, fold order, wire encode points — is
-//!   *identical* to [`ring_all_reduce_wire`](crate::ring_all_reduce_wire),
-//!   which makes results bit-identical no matter how polls interleave.
+//! * [`RingJob`] is the one ring implementation — AllReduce,
+//!   ReduceScatter or AllGather as a poll-driven state machine. Each
+//!   poll advances at most one chunk hop (one send and/or one
+//!   receive+fold), so many jobs interleave on one rank thread at
+//!   chunk granularity. A collective striped over `C` lanes runs as
+//!   `C` jobs, lane `s` moving the sub-range
+//!   `chunk_range(chunk_len, C, s)` of every ring chunk. Folds are
+//!   fused out-of-place kernels writing fresh stripes (nothing is
+//!   detached copy-on-write), and an AllReduce's gathered stripes
+//!   decode straight into one output buffer when the last lane lands.
+//!   The schedule — chunk geometry, virtual-position reduce-scatter
+//!   order, `op(local, incoming)` fold order, wire encode points — is
+//!   fixed per element, so results are bit-identical at every lane
+//!   width and under any poll interleaving. The blocking
+//!   `ring_*_wire_striped` entry points are one enqueue plus one wait
+//!   on a private one-job [`CommScheduler`].
 //! * [`SwitchJob`] is the in-network switch AllReduce
 //!   ([`switch_all_reduce`](crate::switch_all_reduce)) as the same kind
 //!   of poll-driven state machine: the worker leg sends one quantized
@@ -33,7 +39,7 @@
 //!   parameter it is about to touch. First-layer gradients overtake
 //!   last-layer gradients that backprop produced earlier — exactly the
 //!   reordering the per-class [`BytesLedger`](crate::BytesLedger)
-//!   counters and the scheduler's completion log expose.
+//!   counters and the scheduler's completion events expose.
 //!
 //! Deadlock freedom: sends never block (the fabric's channels are
 //! unbounded), receives are non-blocking polls, and every rank polls
@@ -44,8 +50,9 @@
 
 use coconet_compress::{QuantChunk, WireFormat};
 use coconet_core::{CollAlgo, CommSched, XferSched};
-use coconet_tensor::{DType, ReduceOp, Shape, Tensor};
+use coconet_tensor::{kernels, DType, ReduceOp, Shape, Tensor, F16};
 use coconet_trace as trace;
+use coconet_trace::metrics::Counter;
 use coconet_trace::EventKind;
 
 use std::collections::HashMap;
@@ -55,74 +62,180 @@ use crate::comm::{RankComm, WireMsg};
 use crate::ledger::PRIORITY_CLASSES;
 use crate::switch::fold_contributions;
 
-/// Where a [`RingJob`] is in the reduce-scatter → all-gather protocol.
-#[derive(Debug)]
-enum JobState {
-    /// Reduce-scatter phase: `step` of `k-1`, `sent` marks whether this
-    /// step's chunk is already on the wire.
-    ReduceScatter { step: usize, sent: bool },
-    /// All-gather phase over the fully reduced chunks.
-    AllGather { step: usize, sent: bool },
-    /// Finished; the assembled result is waiting to be taken.
-    Done(Tensor),
+/// Element-type plumbing for the ring engine: the two working dtypes
+/// share one generic data path, each monomorphized over its fused
+/// out-of-place reduce kernel.
+trait StripeElem: Copy + Send + Sync + 'static {
+    /// The fill of freshly allocated fold outputs (every element is
+    /// overwritten before it is read).
+    const ZERO: Self;
+    /// The contiguous storage slice of a tensor of this element type.
+    fn slice(t: &Tensor) -> &[Self];
+    /// `dst[i] = op(a[i], b[i])` through the kernel engine.
+    fn reduce_out(a: &[Self], b: &[Self], dst: &mut [Self], op: ReduceOp);
+    /// Appends a gathered stripe, widening an FP16-wire stripe back to
+    /// this element type (exactly: every binary16 value is an `f32`).
+    fn extend_decoded(out: &mut Vec<Self>, stripe: &Tensor);
+    /// Adopts an owned vector as a tensor without a copy.
+    fn tensor_from(shape: Shape, data: Vec<Self>) -> Tensor;
 }
 
-/// A ring AllReduce in flight: the blocking collective's exact schedule,
-/// advanced one chunk hop per poll instead of running to completion.
+impl StripeElem for f32 {
+    const ZERO: f32 = 0.0;
+    fn slice(t: &Tensor) -> &[f32] {
+        t.as_f32_slice().expect("working dtype is F32")
+    }
+    fn reduce_out(a: &[f32], b: &[f32], dst: &mut [f32], op: ReduceOp) {
+        kernels::reduce_f32_out(a, b, dst, op);
+    }
+    fn extend_decoded(out: &mut Vec<f32>, stripe: &Tensor) {
+        match stripe.as_f32_slice() {
+            Some(s) => out.extend_from_slice(s),
+            None => out.extend(
+                stripe
+                    .as_f16_slice()
+                    .expect("FP16 wire stripe")
+                    .iter()
+                    .map(|h| h.to_f32()),
+            ),
+        }
+    }
+    fn tensor_from(shape: Shape, data: Vec<f32>) -> Tensor {
+        Tensor::from_f32_vec(shape, DType::F32, data).expect("length matches shape")
+    }
+}
+
+impl StripeElem for F16 {
+    const ZERO: F16 = F16::ZERO;
+    fn slice(t: &Tensor) -> &[F16] {
+        t.as_f16_slice().expect("working dtype is F16")
+    }
+    fn reduce_out(a: &[F16], b: &[F16], dst: &mut [F16], op: ReduceOp) {
+        kernels::reduce_f16_out(a, b, dst, op);
+    }
+    fn extend_decoded(out: &mut Vec<F16>, stripe: &Tensor) {
+        out.extend_from_slice(Self::slice(stripe));
+    }
+    fn tensor_from(shape: Shape, data: Vec<F16>) -> Tensor {
+        Tensor::from_f16_vec(shape, data).expect("length matches shape")
+    }
+}
+
+/// `op(local, incoming)` into a fresh owned stripe — the ring's one
+/// fold, never a write into a shared buffer.
+fn fold(local: &Tensor, incoming: &Tensor, op: ReduceOp) -> Tensor {
+    fn typed<E: StripeElem>(local: &Tensor, incoming: &Tensor, op: ReduceOp) -> Tensor {
+        let mut out = vec![E::ZERO; local.numel()];
+        E::reduce_out(E::slice(local), E::slice(incoming), &mut out, op);
+        E::tensor_from(Shape::from([out.len()]), out)
+    }
+    match local.dtype() {
+        DType::F32 => typed::<f32>(local, incoming, op),
+        DType::F16 => typed::<F16>(local, incoming, op),
+    }
+}
+
+/// Concatenates `parts` into one fresh flat tensor of `dtype`,
+/// decoding FP16-wire stripes on the way — the only pass that writes
+/// a gathered element.
+fn concat_decoded(parts: &[Tensor], dtype: DType) -> Tensor {
+    fn typed<E: StripeElem>(parts: &[Tensor]) -> Tensor {
+        let mut out = Vec::with_capacity(parts.iter().map(Tensor::numel).sum());
+        for p in parts {
+            E::extend_decoded(&mut out, p);
+        }
+        E::tensor_from(Shape::from([out.len()]), out)
+    }
+    match dtype {
+        DType::F32 => typed::<f32>(parts),
+        DType::F16 => typed::<F16>(parts),
+    }
+}
+
+/// Which collective a [`RingJob`] runs. AllReduce is ReduceScatter
+/// then AllGather in one job.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum RingKind {
+    AllReduce,
+    ReduceScatter,
+    AllGather,
+}
+
+/// Where a [`RingJob`] is in the reduce-scatter → all-gather protocol.
+/// `sent` marks whether this step's stripe is already on the wire.
+#[derive(Clone, Copy, Debug)]
+enum Phase {
+    ReduceScatter { step: usize, sent: bool },
+    AllGather { step: usize, sent: bool },
+    Done,
+}
+
+/// A finished job's result: one tensor, or an AllGather's chunks in
+/// group-position order.
+#[derive(Debug)]
+pub(crate) enum Output {
+    Tensor(Tensor),
+    Chunks(Vec<Tensor>),
+}
+
+impl Output {
+    pub(crate) fn into_tensor(self) -> Tensor {
+        match self {
+            Output::Tensor(t) => t,
+            Output::Chunks(_) => unreachable!("an AllGather yields chunks"),
+        }
+    }
+
+    pub(crate) fn into_chunks(self) -> Vec<Tensor> {
+        match self {
+            Output::Chunks(c) => c,
+            Output::Tensor(_) => unreachable!("only an AllGather yields chunks"),
+        }
+    }
+}
+
+/// One stripe lane of a ring collective in flight, advanced one chunk
+/// hop per poll.
 ///
-/// Chunks travel as *tagged* messages (`job` = this job's id), so any
-/// number of jobs share each rank-to-rank stream without disturbing one
-/// another — the receiver routes by tag, never by arrival order.
+/// Stripes travel as *tagged* messages, so any number of jobs share
+/// each rank-to-rank stream without disturbing one another — the
+/// receiver routes by tag, never by arrival order.
 #[derive(Debug)]
 pub struct RingJob {
-    id: u64,
-    class: u8,
+    /// Wire tag of this lane.
+    tag: u64,
+    /// The logical collective this lane belongs to.
+    logical: u64,
+    /// Priority class; `None` for a blocking collective, whose sends
+    /// stay out of the per-class ledger and whose hops trace as
+    /// [`JOB_NONE`](coconet_trace::JOB_NONE).
+    class: Option<u8>,
     seq: u64,
-    /// Stripe lane index (0 for single-lane jobs) — the trace `tid`
-    /// its hop events render under.
-    lane: u32,
+    lane: usize,
+    lanes: usize,
+    kind: RingKind,
     group: Group,
     op: ReduceOp,
     wire: WireFormat,
-    dtype: DType,
-    shape: Shape,
-    /// Reduce-scatter working set: chunk views of the input, folded in
-    /// place as partials arrive (same fold order as the blocking ring).
-    rs_chunks: Vec<Tensor>,
-    /// All-gather working set: wire-encoded chunk handles by position.
-    ag_chunks: Vec<Option<Tensor>>,
-    state: JobState,
+    /// The full input (AllReduce, ReduceScatter) or the wire-encoded
+    /// own chunk (AllGather).
+    input: Tensor,
+    /// The stripe folded last reduce-scatter step — this step's payload.
+    carry: Option<Tensor>,
+    /// This lane's stripe of every chunk, by group position: the
+    /// wire-encoded gathered stripes, or (ReduceScatter) only the own
+    /// fully reduced stripe.
+    stripes: Vec<Option<Tensor>>,
+    phase: Phase,
 }
 
 impl RingJob {
-    /// Starts a ring AllReduce of `input` over `group`, tagged `id` on
-    /// the wire and scheduled at `class` (lower = serviced first).
-    ///
-    /// Top-k has no streaming ring form (like ReduceScatter/AllGather
-    /// it resolves to the dense wire); `Dense` and `Fp16` reproduce
-    /// [`ring_all_reduce_wire`](crate::ring_all_reduce_wire) exactly.
-    pub fn new(
-        id: u64,
-        class: u8,
-        seq: u64,
-        group: Group,
-        input: &Tensor,
-        op: ReduceOp,
-        wire: WireFormat,
-    ) -> RingJob {
-        RingJob::new_lane(id, class, seq, group, input, op, wire, 1, 0)
-    }
-
-    /// Starts lane `lane` of a `lanes`-wide striped ring AllReduce:
-    /// this job moves stripe `chunk_range(chunk_len, lanes, lane)` of
-    /// every ring chunk, following the single-lane chunk schedule, and
-    /// finishes holding the flat concatenation of its fully gathered
-    /// chunk stripes (in chunk order). [`CommScheduler::wait`]
-    /// reassembles the lanes into the replicated output.
     #[allow(clippy::too_many_arguments)]
-    fn new_lane(
-        id: u64,
-        class: u8,
+    fn new(
+        kind: RingKind,
+        tag: u64,
+        logical: u64,
+        class: Option<u8>,
         seq: u64,
         group: Group,
         input: &Tensor,
@@ -131,210 +244,267 @@ impl RingJob {
         lanes: usize,
         lane: usize,
     ) -> RingJob {
-        let wire = match wire {
-            WireFormat::TopK { .. } => WireFormat::Dense,
-            f => f,
-        };
         let k = group.size;
-        let n = input.numel();
-        let dtype = input.dtype();
-        if k == 1 {
-            // Degenerate group: the blocking ring returns the input's
-            // values re-assembled into a fresh tensor; match it.
-            // (Striped enqueues delegate singleton groups here whole,
-            // so a lane job never sees k == 1 with a partial payload.)
-            debug_assert_eq!(lanes, 1, "singleton groups run single-lane");
-            let shape = input.shape().clone();
-            let chunk = input.slice_flat(0, n).expect("full range");
-            let mut out = Tensor::zeros(shape.clone(), dtype);
-            out.write_flat(0, &chunk).expect("full range");
-            return RingJob {
-                id,
-                class,
-                seq,
-                lane: lane as u32,
-                group,
-                op,
-                wire,
-                dtype,
-                shape,
-                rs_chunks: Vec::new(),
-                ag_chunks: Vec::new(),
-                state: JobState::Done(out),
-            };
-        }
-        let rs_chunks: Vec<Tensor> = (0..k)
-            .map(|c| {
-                let (c_off, c_len) = chunk_range(n, k, c);
-                let (s_off, s_len) = chunk_range(c_len, lanes, lane);
-                input.slice_flat(c_off + s_off, s_len).expect("in range")
-            })
-            .collect();
-        // A single-lane job assembles into the input's shape; a lane
-        // job's result is the flat concatenation of its chunk stripes.
-        let shape = if lanes == 1 {
-            input.shape().clone()
+        let mut stripes = vec![None; k];
+        let phase = if k == 1 {
+            // A singleton group moves nothing and never touches the
+            // codec; the result is the input itself.
+            stripes[0] = Some(match kind {
+                RingKind::ReduceScatter => input.slice_flat(0, input.numel()).expect("full range"),
+                _ => input.clone(),
+            });
+            Phase::Done
+        } else if kind == RingKind::AllGather {
+            Phase::AllGather {
+                step: 0,
+                sent: false,
+            }
         } else {
-            Shape::from([rs_chunks.iter().map(Tensor::numel).sum::<usize>()])
+            Phase::ReduceScatter {
+                step: 0,
+                sent: false,
+            }
         };
         RingJob {
-            id,
+            tag,
+            logical,
             class,
             seq,
-            lane: lane as u32,
+            lane,
+            lanes,
+            kind,
             group,
             op,
             wire,
-            dtype,
-            shape,
-            rs_chunks,
-            ag_chunks: vec![None; k],
-            state: JobState::ReduceScatter {
-                step: 0,
-                sent: false,
-            },
+            input: input.clone(),
+            carry: None,
+            stripes,
+            phase,
         }
-    }
-
-    /// This job's wire tag.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// This job's priority class.
-    pub fn class(&self) -> u8 {
-        self.class
     }
 
     fn is_done(&self) -> bool {
-        matches!(self.state, JobState::Done(_))
+        matches!(self.phase, Phase::Done)
     }
 
     /// Chunk hops still ahead of this job — the contention-aware
-    /// scheduler's shortest-remaining-work key. The ring runs `k-1`
-    /// reduce-scatter hops then `k-1` gather hops.
+    /// scheduler's shortest-remaining-work key.
     fn remaining_hops(&self) -> usize {
         let k = self.group.size;
-        match self.state {
-            JobState::ReduceScatter { step, .. } => (k - 1 - step) + (k - 1),
-            JobState::AllGather { step, .. } => k - 1 - step,
-            JobState::Done(_) => 0,
+        let gather = if self.kind == RingKind::ReduceScatter {
+            0
+        } else {
+            k - 1
+        };
+        match self.phase {
+            Phase::ReduceScatter { step, .. } => (k - 1 - step) + gather,
+            Phase::AllGather { step, .. } => k - 1 - step,
+            Phase::Done => 0,
         }
     }
 
-    fn take_result(self) -> Tensor {
-        match self.state {
-            JobState::Done(t) => t,
-            _ => unreachable!("take_result on an unfinished job"),
-        }
+    /// This lane's stripe of chunk `c` of `t` (`t` tiled into the
+    /// group's `k` chunks) — a zero-copy view.
+    fn stripe_of(&self, t: &Tensor, c: usize) -> Tensor {
+        let (c_off, c_len) = chunk_range(t.numel(), self.group.size, c);
+        let (s_off, s_len) = chunk_range(c_len, self.lanes, self.lane);
+        t.slice_flat(c_off + s_off, s_len).expect("in range")
+    }
+
+    fn send(&self, comm: &RankComm, dst: usize, label: &'static str, payload: Tensor) {
+        let traced_id = self.class.map_or(trace::JOB_NONE, |_| self.tag);
+        trace::instant_lane(
+            EventKind::Hop,
+            label,
+            self.lane as u32,
+            traced_id,
+            payload.size_bytes() as u64,
+        );
+        comm.send_job(dst, self.tag, self.class, WireMsg::Tensor(payload));
     }
 
     /// Advances the job by at most one chunk hop: sends this step's
-    /// chunk if it is not on the wire yet, then polls for the incoming
-    /// chunk and folds/stores it. Returns `true` if anything moved.
-    ///
-    /// Sends go through [`RankComm::send_tagged`], so the per-class
-    /// ledger counters attribute every byte to this job's class.
+    /// stripe if it is not on the wire yet, then polls for the incoming
+    /// stripe and folds/stores it. Returns `true` if anything moved.
     fn poll(&mut self, comm: &RankComm) -> bool {
         let k = self.group.size;
         let me = self.group.position(comm.rank());
         let next = self.group.next(comm.rank());
         let prev = self.group.prev(comm.rank());
         let mut progressed = false;
-        match &mut self.state {
-            JobState::ReduceScatter { step, sent } => {
-                // The blocking ring's virtual-position schedule.
+        match self.phase {
+            Phase::ReduceScatter { step, sent } => {
+                // Textbook ring RS shifted so position `me` ends owning
+                // chunk `me`: the schedule of virtual position me − 1.
                 let j = (me + k - 1) % k;
-                let send_c = (j + k - *step % k) % k;
-                let recv_c = (j + k - *step - 1) % k;
-                if !*sent {
-                    let payload = wire_encode(&self.rs_chunks[send_c], self.wire);
-                    trace::instant_lane(
-                        EventKind::Hop,
-                        "ring:rs",
-                        self.lane,
-                        self.id,
-                        payload.size_bytes() as u64,
-                    );
-                    comm.send_tagged(next, self.id, self.class, WireMsg::Tensor(payload));
-                    *sent = true;
+                let send_c = (j + k - step) % k;
+                let recv_c = (j + k - step - 1) % k;
+                if !sent {
+                    // Step 0 sends a pristine input view; later steps
+                    // forward the stripe folded last step.
+                    let payload = match self.carry.take() {
+                        Some(folded) => folded,
+                        None => self.stripe_of(&self.input, send_c),
+                    };
+                    self.send(comm, next, "ring:rs", wire_encode(&payload, self.wire));
+                    self.phase = Phase::ReduceScatter { step, sent: true };
                     progressed = true;
                 }
-                if let Some(msg) = comm.try_recv_tagged(prev, self.id) {
-                    let incoming = wire_decode(expect_tensor(msg), self.wire, self.dtype);
-                    self.rs_chunks[recv_c]
-                        .reduce_assign(&incoming, self.op)
-                        .expect("ring chunks agree on geometry");
+                if let Some(msg) = comm.try_recv_tagged(prev, self.tag) {
+                    let incoming = wire_decode(expect_tensor(msg), self.wire, self.input.dtype());
+                    let folded = fold(&self.stripe_of(&self.input, recv_c), &incoming, self.op);
                     progressed = true;
-                    if *step + 1 < k - 1 {
-                        *step += 1;
-                        *sent = false;
+                    self.phase = if step + 1 < k - 1 {
+                        self.carry = Some(folded);
+                        Phase::ReduceScatter {
+                            step: step + 1,
+                            sent: false,
+                        }
+                    } else if self.kind == RingKind::ReduceScatter {
+                        self.stripes[me] = Some(folded);
+                        Phase::Done
                     } else {
-                        // Reduce-scatter complete: position `me` owns
-                        // the fully reduced chunk `me`. Seed the gather
-                        // with its one-time wire encoding.
-                        let mine = self.rs_chunks.swap_remove(me);
-                        self.ag_chunks[me] = Some(wire_encode(&mine, self.wire));
-                        self.rs_chunks.clear();
-                        self.state = JobState::AllGather {
+                        // Position `me` owns the fully reduced chunk:
+                        // its one wire encoding seeds the gather.
+                        self.stripes[me] = Some(wire_encode(&folded, self.wire));
+                        Phase::AllGather {
                             step: 0,
                             sent: false,
-                        };
-                    }
+                        }
+                    };
                 }
             }
-            JobState::AllGather { step, sent } => {
-                let send_c = (me + k - *step % k) % k;
-                let recv_c = (me + k - *step - 1) % k;
-                if !*sent {
-                    let payload = self.ag_chunks[send_c]
-                        .clone()
-                        .expect("chunk present by schedule");
-                    trace::instant_lane(
-                        EventKind::Hop,
-                        "ring:ag",
-                        self.lane,
-                        self.id,
-                        payload.size_bytes() as u64,
-                    );
-                    comm.send_tagged(next, self.id, self.class, WireMsg::Tensor(payload));
-                    *sent = true;
+            Phase::AllGather { step, sent } => {
+                let send_c = (me + k - step) % k;
+                let recv_c = (me + k - step - 1) % k;
+                if !sent {
+                    // An AllGather job's first hop sends its stripe of
+                    // the (already encoded) own chunk, which it never
+                    // stores; every later hop forwards a received
+                    // handle untouched.
+                    let payload = match &self.stripes[send_c] {
+                        Some(t) => t.clone(),
+                        None => {
+                            let own = &self.input;
+                            let (s_off, s_len) = chunk_range(own.numel(), self.lanes, self.lane);
+                            own.slice_flat(s_off, s_len).expect("in range")
+                        }
+                    };
+                    self.send(comm, next, "ring:ag", payload);
+                    self.phase = Phase::AllGather { step, sent: true };
                     progressed = true;
                 }
-                if let Some(msg) = comm.try_recv_tagged(prev, self.id) {
-                    self.ag_chunks[recv_c] = Some(expect_tensor(msg));
+                if let Some(msg) = comm.try_recv_tagged(prev, self.tag) {
+                    self.stripes[recv_c] = Some(expect_tensor(msg));
                     progressed = true;
-                    if *step + 1 < k - 1 {
-                        *step += 1;
-                        *sent = false;
+                    self.phase = if step + 1 < k - 1 {
+                        Phase::AllGather {
+                            step: step + 1,
+                            sent: false,
+                        }
                     } else {
-                        self.state = JobState::Done(self.assemble());
-                    }
+                        Phase::Done
+                    };
                 }
             }
-            JobState::Done(_) => {}
+            Phase::Done => {}
         }
         progressed
     }
+}
 
-    /// Decodes the gathered chunks and assembles the replicated result
-    /// — the blocking ring's exact epilogue.
-    fn assemble(&mut self) -> Tensor {
-        let mut out = Tensor::zeros(self.shape.clone(), self.dtype);
-        let mut off = 0usize;
-        for c in self.ag_chunks.drain(..) {
-            let c = wire_decode(c.expect("all chunks gathered"), self.wire, self.dtype);
-            out.write_flat(off, &c).expect("chunks tile the tensor");
-            off += c.numel();
+/// A ring collective whose lanes are in flight: collects each lane's
+/// stripes as it finishes and builds the result once the last lands.
+#[derive(Debug)]
+struct Gather {
+    kind: RingKind,
+    /// The caller's input shape and dtype.
+    shape: Shape,
+    dtype: DType,
+    wire: WireFormat,
+    /// AllGather: the wire-encoded own chunk, which no lane stores.
+    own: Tensor,
+    /// Finished lanes' stripes, `[lane][chunk]`.
+    lanes: Vec<Option<Vec<Option<Tensor>>>>,
+    pending: usize,
+}
+
+impl Gather {
+    /// Stores a finished lane; returns `true` once every lane has.
+    fn land(&mut self, job: RingJob) -> bool {
+        self.lanes[job.lane] = Some(job.stripes);
+        self.pending -= 1;
+        self.pending == 0
+    }
+
+    /// Decodes `parts` into one fresh flat buffer, in order.
+    fn decode(&self, parts: &[Tensor]) -> Tensor {
+        let _codec = (self.wire == WireFormat::Fp16).then(|| {
+            let bytes = parts.iter().map(Tensor::size_bytes).sum::<usize>() as u64;
+            trace::metrics::add_counter(Counter::CodecBytes, bytes);
+            trace::span(EventKind::Codec, "fp16:decode", bytes, 0)
+        });
+        concat_decoded(parts, self.dtype)
+    }
+
+    /// Decodes one whole wire payload, keeping its shape — a buffer
+    /// handle on the dense wire.
+    fn decode_whole(&self, t: &Tensor) -> Tensor {
+        if t.dtype() == self.dtype {
+            return t.clone();
         }
-        out
+        let shape = t.shape().clone();
+        self.decode(std::slice::from_ref(t))
+            .reshape(shape)
+            .expect("same numel")
+    }
+
+    /// Builds the result. An AllReduce decodes every gathered stripe,
+    /// in (chunk, lane) order — flat element order — straight into one
+    /// output buffer; a ReduceScatter's own stripes and an AllGather's
+    /// chunks are assembled only where a chunk spans several lanes.
+    fn finish(self) -> Output {
+        let lanes: Vec<&Vec<Option<Tensor>>> = self
+            .lanes
+            .iter()
+            .map(|l| l.as_ref().expect("every lane landed"))
+            .collect();
+        let k = lanes[0].len();
+        let chunk =
+            |c: usize| -> Vec<Tensor> { lanes.iter().filter_map(|l| l[c].clone()).collect() };
+        match self.kind {
+            RingKind::AllReduce => {
+                let parts: Vec<Tensor> = (0..k).flat_map(chunk).collect();
+                let out = self.decode(&parts).reshape(self.shape.clone());
+                Output::Tensor(out.expect("same numel"))
+            }
+            RingKind::ReduceScatter => {
+                // Only the own chunk's stripes are present; one lane's
+                // stripe *is* the chunk.
+                let mut parts: Vec<Tensor> = (0..k).flat_map(chunk).collect();
+                Output::Tensor(if parts.len() == 1 {
+                    parts.swap_remove(0)
+                } else {
+                    concat_decoded(&parts, self.dtype)
+                })
+            }
+            RingKind::AllGather => Output::Chunks(
+                (0..k)
+                    .map(|c| match chunk(c).as_slice() {
+                        [] => self.decode_whole(&self.own),
+                        [whole] => self.decode_whole(whole),
+                        stripes => self.decode(stripes),
+                    })
+                    .collect(),
+            ),
+        }
     }
 }
 
 fn expect_tensor(msg: WireMsg) -> Tensor {
     match msg {
         WireMsg::Tensor(t) => t,
-        other => unreachable!("streaming ring jobs are dense-wire only, got {other:?}"),
+        other => unreachable!("ring jobs carry dense tensors only, got {other:?}"),
     }
 }
 
@@ -344,7 +514,6 @@ fn expect_quant(msg: WireMsg) -> QuantChunk {
         other => unreachable!("switch jobs carry quantized chunks only, got {other:?}"),
     }
 }
-
 /// An in-network switch AllReduce in flight: the blocking
 /// [`switch_all_reduce`](crate::switch_all_reduce) as a poll-driven
 /// state machine sharing the tagged fabric with [`RingJob`]s.
@@ -429,16 +598,6 @@ impl SwitchJob {
             multicast_done: false,
             result: None,
         }
-    }
-
-    /// This job's wire tag.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// This job's priority class.
-    pub fn class(&self) -> u8 {
-        self.class
     }
 
     fn is_done(&self) -> bool {
@@ -539,16 +698,25 @@ enum Job {
 }
 
 impl Job {
+    /// The physical job's wire id (a lane's tag for ring jobs).
     fn id(&self) -> u64 {
         match self {
-            Job::Ring(j) => j.id(),
-            Job::Switch(j) => j.id(),
+            Job::Ring(j) => j.tag,
+            Job::Switch(j) => j.id,
+        }
+    }
+
+    /// The priority class; `None` for a blocking collective.
+    fn class(&self) -> Option<u8> {
+        match self {
+            Job::Ring(j) => j.class,
+            Job::Switch(j) => Some(j.class),
         }
     }
 
     fn key(&self) -> (u8, u64) {
         match self {
-            Job::Ring(j) => (j.class, j.seq),
+            Job::Ring(j) => (j.class.unwrap_or(0), j.seq),
             Job::Switch(j) => (j.class, j.seq),
         }
     }
@@ -573,13 +741,6 @@ impl Job {
             Job::Switch(j) => j.is_done(),
         }
     }
-
-    fn take_result(self) -> Tensor {
-        match self {
-            Job::Ring(j) => j.take_result(),
-            Job::Switch(j) => j.take_result(),
-        }
-    }
 }
 
 /// One structured completion record of the scheduler: which physical
@@ -596,18 +757,8 @@ pub struct Completion {
     pub ts_ns: u64,
 }
 
-/// Reassembly geometry of one striped logical job.
-#[derive(Debug)]
-struct StripedMeta {
-    channels: usize,
-    group_size: usize,
-    shape: Shape,
-    dtype: DType,
-}
-
-/// The wire tag of lane `lane` of striped logical job `id`: the lane
-/// index rides the low [`LANE_BITS`] bits. Single-lane jobs keep their
-/// raw id untouched, so the tag space is backward compatible.
+/// The wire tag of lane `lane` of logical job `id`: the lane index
+/// rides the low [`LANE_BITS`] bits.
 fn lane_tag(id: u64, lane: usize) -> u64 {
     (id << LANE_BITS) | lane as u64
 }
@@ -615,6 +766,12 @@ fn lane_tag(id: u64, lane: usize) -> u64 {
 /// Bits [`lane_tag`] reserves for the lane index —
 /// [`MAX_CHANNELS`](crate::MAX_CHANNELS) lanes fit exactly.
 const LANE_BITS: u32 = 6;
+
+/// The logical id every blocking ring collective runs under, always
+/// lane-tagged. Scheduled jobs keep their ids below it, so its tags
+/// `(2^58 − 1) << 6 | lane` collide with no stream tag, raw or
+/// lane-tagged.
+const BLOCKING_ID: u64 = (1 << (64 - LANE_BITS)) - 1;
 
 /// The priority queue in front of the comm fabric: in-flight
 /// [`RingJob`]s and [`SwitchJob`]s serviced in strict
@@ -634,15 +791,13 @@ pub struct CommScheduler {
     /// ledger totals are bit-identical across disciplines — the knob
     /// reorders wire traffic, never data.
     xfer: XferSched,
-    /// Lane geometry of striped logical jobs, by logical id —
-    /// [`CommScheduler::wait`] uses it to reassemble lane results.
-    striped: HashMap<u64, StripedMeta>,
+    /// Ring collectives with lanes still in flight, by logical id.
+    gathers: HashMap<u64, Gather>,
     /// Finished results waiting for [`CommScheduler::wait`].
-    completed: Vec<(u64, Tensor)>,
+    completed: Vec<(u64, Output)>,
     /// Structured completion records in the order jobs finished — the
-    /// reordering witness the steady-state experiment asserts on
-    /// (via the [`completion_log`](CommScheduler::completion_log) id
-    /// view) and the overlap profiler's job end marker.
+    /// reordering witness the steady-state experiment asserts on and
+    /// the overlap profiler's job end marker.
     completions: Vec<Completion>,
 }
 
@@ -664,7 +819,8 @@ impl CommScheduler {
     /// [`PRIORITY_CLASSES`]; lower classes are serviced first — tag the
     /// launch with the consuming step's position in the next
     /// iteration's forward order). `id` must be agreed on by every rank
-    /// in the group; it tags the job's chunks on the wire.
+    /// in the group and stay below `2^58 − 1`; it tags the job's
+    /// chunks on the wire.
     ///
     /// Enqueuing performs no communication: the first chunk goes out on
     /// the first [`poll`](CommScheduler::poll) that services this job.
@@ -677,12 +833,7 @@ impl CommScheduler {
         op: ReduceOp,
         wire: WireFormat,
     ) {
-        let class = class.min(PRIORITY_CLASSES as u8 - 1);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.admit(Job::Ring(RingJob::new(
-            id, class, seq, group, input, op, wire,
-        )));
+        self.enqueue_striped(id, class, group, input, op, wire, 1);
     }
 
     /// Launches a ring AllReduce striped across `channels` concurrent
@@ -690,14 +841,14 @@ impl CommScheduler {
     /// `chunk_range(chunk_len, channels, s)` of every ring chunk, with
     /// its own `(class, seq)` — so the scheduler preempts and
     /// interleaves lanes independently at chunk-stripe granularity.
-    /// Lane chunks ride tagged `(id << 6) | lane`; callers must keep
-    /// striped logical ids below `2^58`. `channels <= 1` (or a
-    /// singleton group) is exactly [`enqueue`](CommScheduler::enqueue).
+    /// Lane chunks ride tagged `(id << 6) | lane`; `id` stays below
+    /// `2^58 − 1`, as for [`enqueue`](CommScheduler::enqueue), which
+    /// `channels <= 1` (or a singleton group) is exactly.
     ///
-    /// [`wait`](CommScheduler::wait) on the logical `id` reassembles
-    /// the lanes; results are bit-identical to the single-lane job at
-    /// every width and the byte totals are unchanged (stripe sums
-    /// partition every chunk).
+    /// [`wait`](CommScheduler::wait) on the logical `id` returns the
+    /// replicated output; results are bit-identical at every width and
+    /// the byte totals are unchanged (stripe sums partition every
+    /// chunk).
     #[allow(clippy::too_many_arguments)]
     pub fn enqueue_striped(
         &mut self,
@@ -709,35 +860,77 @@ impl CommScheduler {
         wire: WireFormat,
         channels: usize,
     ) {
-        let channels = clamp_channels(channels);
-        if channels == 1 || group.size == 1 {
-            self.enqueue(id, class, group, input, op, wire);
-            return;
-        }
-        debug_assert_eq!(id >> (64 - LANE_BITS), 0, "striped id overflows the tag");
+        debug_assert!(id < BLOCKING_ID, "job id {id} is reserved");
         let class = class.min(PRIORITY_CLASSES as u8 - 1);
-        self.striped.insert(
+        self.launch(
+            RingKind::AllReduce,
             id,
-            StripedMeta {
-                channels,
-                group_size: group.size,
+            Some(class),
+            group,
+            input,
+            op,
+            wire,
+            channels,
+        );
+    }
+
+    /// Admits one lane job per stripe of a ring collective. Top-k has
+    /// no ring form and runs on the dense wire. A blocking
+    /// collective (`class == None`) and every striped one ride lane
+    /// tags; a single-lane scheduled job keeps its raw id as its tag.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn launch(
+        &mut self,
+        kind: RingKind,
+        id: u64,
+        class: Option<u8>,
+        group: Group,
+        input: &Tensor,
+        op: ReduceOp,
+        wire: WireFormat,
+        channels: usize,
+    ) {
+        let lanes = if group.size == 1 {
+            1
+        } else {
+            clamp_channels(channels)
+        };
+        debug_assert!(
+            lanes == 1 || id >> (64 - LANE_BITS) == 0,
+            "striped id overflows the tag"
+        );
+        // An AllGather encodes its own chunk once; every lane sends
+        // views of that one encoding.
+        let encoded = if kind == RingKind::AllGather && group.size > 1 {
+            wire_encode(input, wire)
+        } else {
+            input.clone()
+        };
+        self.gathers.insert(
+            id,
+            Gather {
+                kind,
                 shape: input.shape().clone(),
                 dtype: input.dtype(),
+                // A singleton group never touches the codec.
+                wire: if group.size > 1 {
+                    wire
+                } else {
+                    WireFormat::Dense
+                },
+                own: encoded.clone(),
+                lanes: (0..lanes).map(|_| None).collect(),
+                pending: lanes,
             },
         );
-        for lane in 0..channels {
+        let input = encoded;
+        let lane_tagged = class.is_none() || lanes > 1;
+        for lane in 0..lanes {
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.admit(Job::Ring(RingJob::new_lane(
-                lane_tag(id, lane),
-                class,
-                seq,
-                group,
-                input,
-                op,
-                wire,
-                channels,
-                lane,
+            let tag = if lane_tagged { lane_tag(id, lane) } else { id };
+            self.admit(Job::Ring(RingJob::new(
+                kind, tag, id, class, seq, group, &input, op, wire, lanes, lane,
             )));
         }
     }
@@ -763,38 +956,56 @@ impl CommScheduler {
     }
 
     fn admit(&mut self, job: Job) {
-        let (class, _) = job.key();
-        // The single choke point every physical job passes through —
-        // striped lanes and switch jobs included — so every enqueue
-        // event has a matching completion event with the same id.
-        trace::instant(
-            EventKind::SchedEnqueue,
-            "sched:enqueue",
-            job.id(),
-            u64::from(class),
-        );
+        // The single choke point every scheduled physical job passes
+        // through — striped lanes and switch jobs included — so every
+        // enqueue event has a matching completion event with the same
+        // id. Blocking collectives stay out of the scheduler's trace.
+        if let Some(class) = job.class() {
+            trace::instant(
+                EventKind::SchedEnqueue,
+                "sched:enqueue",
+                job.id(),
+                u64::from(class),
+            );
+        }
         if job.is_done() {
             // Single-rank groups finish at enqueue time.
-            self.record_completion(job.id(), class);
-            self.completed.push((job.id(), job.take_result()));
+            self.retire(job);
             return;
         }
         let at = self.jobs.partition_point(|j| j.key() <= job.key());
         self.jobs.insert(at, job);
     }
 
-    /// Appends a structured completion record (and its trace instant).
-    /// The timestamp is read unconditionally — a clock read touches no
-    /// data, so disabled-tracing runs stay bit-identical.
-    fn record_completion(&mut self, id: u64, class: u8) {
-        let ts_ns = trace::now_ns();
-        trace::instant(
-            EventKind::SchedComplete,
-            "sched:complete",
-            id,
-            u64::from(class),
-        );
-        self.completions.push(Completion { id, class, ts_ns });
+    /// Records a finished physical job and files its result — for a
+    /// ring lane, into its collective's gather, which yields the result
+    /// once its last lane lands.
+    fn retire(&mut self, job: Job) {
+        if let Some(class) = job.class() {
+            // The timestamp is read unconditionally — a clock read
+            // touches no data, so disabled-tracing runs stay
+            // bit-identical.
+            let id = job.id();
+            let ts_ns = trace::now_ns();
+            trace::instant(
+                EventKind::SchedComplete,
+                "sched:complete",
+                id,
+                u64::from(class),
+            );
+            self.completions.push(Completion { id, class, ts_ns });
+        }
+        match job {
+            Job::Switch(j) => self.completed.push((j.id, Output::Tensor(j.take_result()))),
+            Job::Ring(j) => {
+                let id = j.logical;
+                let gather = self.gathers.get_mut(&id).expect("launched above");
+                if gather.land(j) {
+                    let gather = self.gathers.remove(&id).expect("present");
+                    self.completed.push((id, gather.finish()));
+                }
+            }
+        }
     }
 
     /// One scheduling round: runs one chunk hop of the most-preferred
@@ -818,7 +1029,7 @@ impl CommScheduler {
         };
         for (pos, i) in order.into_iter().enumerate() {
             if self.jobs[i].poll(comm) {
-                if pos != 0 {
+                if pos != 0 && self.jobs[i].class().is_some() {
                     // A more-preferred job was blocked on the wire and a
                     // lower-preference one filled the slot — the
                     // chunk-granular preemption the trace exposes.
@@ -831,9 +1042,7 @@ impl CommScheduler {
                 }
                 if self.jobs[i].is_done() {
                     let job = self.jobs.remove(i);
-                    let (class, _) = job.key();
-                    self.record_completion(job.id(), class);
-                    self.completed.push((job.id(), job.take_result()));
+                    self.retire(job);
                 }
                 return true;
             }
@@ -841,51 +1050,24 @@ impl CommScheduler {
         false
     }
 
-    /// Polls until job `id` completes and returns its result. For a
-    /// logical id launched with
-    /// [`enqueue_striped`](CommScheduler::enqueue_striped), drains all
-    /// of its lanes and reassembles their chunk stripes into the
-    /// replicated output.
+    /// Polls until job `id` completes and returns its result — for a
+    /// striped logical id, the replicated output assembled from all of
+    /// its lanes.
     ///
     /// # Panics
     ///
     /// Panics if `id` was never enqueued.
     pub fn wait(&mut self, comm: &RankComm, id: u64) -> Tensor {
-        let Some(meta) = self.striped.remove(&id) else {
-            return self.wait_job(comm, id);
-        };
-        let lanes: Vec<Tensor> = (0..meta.channels)
-            .map(|s| self.wait_job(comm, lane_tag(id, s)))
-            .collect();
-        // Scatter each lane's flat chunk-stripe concatenation back to
-        // its per-chunk ranges.
-        let n = meta.shape.numel();
-        let k = meta.group_size;
-        let mut out = Tensor::zeros(meta.shape, meta.dtype);
-        for (s, lane_flat) in lanes.iter().enumerate() {
-            let mut lane_off = 0usize;
-            for c in 0..k {
-                let (c_off, c_len) = chunk_range(n, k, c);
-                let (s_off, s_len) = chunk_range(c_len, meta.channels, s);
-                if s_len > 0 {
-                    let stripe = lane_flat.slice_flat(lane_off, s_len).expect("in range");
-                    out.write_flat(c_off + s_off, &stripe).expect("in range");
-                    lane_off += s_len;
-                }
-            }
-        }
-        out
+        self.wait_output(comm, id).into_tensor()
     }
 
-    /// Polls until the physical job `id` (a raw or lane-tagged wire id)
-    /// completes and returns its result.
-    fn wait_job(&mut self, comm: &RankComm, id: u64) -> Tensor {
+    pub(crate) fn wait_output(&mut self, comm: &RankComm, id: u64) -> Output {
         loop {
             if let Some(at) = self.completed.iter().position(|(j, _)| *j == id) {
                 return self.completed.swap_remove(at).1;
             }
             assert!(
-                self.jobs.iter().any(|j| j.id() == id),
+                self.gathers.contains_key(&id) || self.jobs.iter().any(|j| j.id() == id),
                 "waiting on job {id} that was never enqueued"
             );
             if !self.poll(comm) {
@@ -911,19 +1093,41 @@ impl CommScheduler {
         self.jobs.len()
     }
 
-    /// Job ids in completion order — under priority scheduling the
-    /// first-consumed (lowest-class) tensors appear first even when
-    /// they were enqueued last. A compatibility view of
-    /// [`completion_events`](CommScheduler::completion_events).
-    pub fn completion_log(&self) -> Vec<u64> {
-        self.completions.iter().map(|c| c.id).collect()
-    }
-
     /// Structured completion records (id, class, timestamp) in the
-    /// order jobs finished.
+    /// order jobs finished — under priority scheduling the
+    /// first-consumed (lowest-class) tensors appear first even when
+    /// they were enqueued last.
     pub fn completion_events(&self) -> &[Completion] {
         &self.completions
     }
+}
+
+/// Runs one ring collective to completion as a single job on a private
+/// scheduler — the engine behind every blocking ring entry point. It
+/// traces as one collective-phase span, the interval the overlap
+/// profiler counts as blocking communication; its sends stay out of
+/// the per-class ledger and its hops trace as
+/// [`JOB_NONE`](coconet_trace::JOB_NONE).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_ring(
+    comm: &RankComm,
+    kind: RingKind,
+    group: Group,
+    input: &Tensor,
+    op: ReduceOp,
+    wire: WireFormat,
+    channels: usize,
+) -> Output {
+    let label = match kind {
+        RingKind::AllReduce => "ring:ar",
+        RingKind::ReduceScatter => "ring:rs",
+        RingKind::AllGather => "ring:ag",
+    };
+    let (n, lanes) = (input.numel() as u64, channels as u64);
+    let _phase = trace::span(EventKind::CollectivePhase, label, n, lanes);
+    let mut sched = CommScheduler::new();
+    sched.launch(kind, BLOCKING_ID, None, group, input, op, wire, channels);
+    sched.wait_output(comm, BLOCKING_ID)
 }
 
 /// One parameter of the streaming training loop: the tensor plus the
@@ -1020,17 +1224,8 @@ impl StreamExecutor {
         self
     }
 
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.params.len()
-    }
-
-    /// The scheduler's completion log (job id = `iter * L + layer`).
-    pub fn completion_log(&self) -> Vec<u64> {
-        self.scheduler.completion_log()
-    }
-
-    /// The scheduler's structured completion records.
+    /// The scheduler's structured completion records (single-lane job
+    /// id = `iter * L + layer`).
     pub fn completion_events(&self) -> &[Completion] {
         self.scheduler.completion_events()
     }
@@ -1170,7 +1365,6 @@ impl StreamExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectives::ring_all_reduce;
     use crate::comm::run_ranks;
     use coconet_tensor::CounterRng;
 
@@ -1178,25 +1372,12 @@ mod tests {
         Group { start: 0, size: k }
     }
 
-    /// A polled job reproduces the blocking ring bit for bit, for every
-    /// group size including the degenerate singleton.
-    #[test]
-    fn ring_job_matches_blocking_ring() {
-        for k in [1usize, 2, 3, 4] {
-            let results = run_ranks(k, move |comm| {
-                let rng = CounterRng::new(42);
-                let input = Tensor::randn([13], DType::F32, rng, (comm.rank() * 1000) as u64);
-                let reference = ring_all_reduce(&comm, group_of(k), &input, ReduceOp::Sum);
-                let mut sched = CommScheduler::new();
-                sched.enqueue(9, 0, group_of(k), &input, ReduceOp::Sum, WireFormat::Dense);
-                let got = sched.wait(&comm, 9);
-                (got, reference)
-            });
-            for (got, reference) in results {
-                assert_eq!(got.to_f32_vec(), reference.to_f32_vec(), "k={k}");
-                assert_eq!(got.shape(), reference.shape());
-            }
-        }
+    fn ring_all_reduce(comm: &RankComm, group: Group, input: &Tensor, op: ReduceOp) -> Tensor {
+        crate::ring_all_reduce_wire_striped(comm, group, input, op, WireFormat::Dense, 1)
+    }
+
+    fn completion_ids(events: &[Completion]) -> Vec<u64> {
+        events.iter().map(|c| c.id).collect()
     }
 
     /// A streamed switch job reproduces the blocking switch AllReduce
@@ -1250,7 +1431,7 @@ mod tests {
             sched.enqueue(100, 5, group_of(k), &late, ReduceOp::Sum, WireFormat::Dense);
             sched.enqueue_switch(200, 0, group_of(k), &urgent, ReduceOp::Sum);
             sched.drain(&comm);
-            let log = sched.completion_log().to_vec();
+            let log = completion_ids(sched.completion_events());
             let got_urgent = sched.wait(&comm, 200);
             let got_late = sched.wait(&comm, 100);
             (log, got_urgent, ref_urgent, got_late, ref_late)
@@ -1339,7 +1520,7 @@ mod tests {
                 WireFormat::Dense,
             );
             sched.drain(&comm);
-            let log = sched.completion_log().to_vec();
+            let log = completion_ids(sched.completion_events());
             let got_urgent = sched.wait(&comm, 200);
             let got_late = sched.wait(&comm, 100);
             (log, got_urgent, ref_urgent, got_late, ref_late)
@@ -1417,14 +1598,14 @@ mod tests {
             ledger.class_bytes_sent[5]
         );
         assert_eq!(sched.in_flight(), 1, "low job still in flight");
-        assert_eq!(sched.completion_log(), &[2]);
+        assert_eq!(completion_ids(sched.completion_events()), [2]);
 
         // Unblock the peer side (its RS partial, then its gather chunk)
         // so the low job can finish too.
         peer.send_tagged(0, 1, 5, WireMsg::Tensor(Tensor::zeros([4], DType::F32)));
         peer.send_tagged(0, 1, 5, WireMsg::Tensor(Tensor::zeros([4], DType::F32)));
         sched.drain(&me);
-        assert_eq!(sched.completion_log(), &[2, 1]);
+        assert_eq!(completion_ids(sched.completion_events()), [2, 1]);
         assert_eq!(me.ledger().class_bytes_sent[5], full_volume);
         // The scripted peer leaves its incoming chunks unread; that is
         // fine — channels are unbounded and the test owns both ends.
@@ -1482,62 +1663,6 @@ mod tests {
         for ((ao, al), (bo, bl)) in aware.iter().zip(again.iter()) {
             assert_eq!(ao, bo);
             assert_eq!(al.class_bytes_sent, bl.class_bytes_sent);
-        }
-    }
-
-    /// A striped scheduler job reproduces the blocking ring bit for
-    /// bit at every lane width — including widths above the chunk
-    /// length — and moves exactly the single-lane byte volume.
-    #[test]
-    fn striped_job_matches_blocking_ring() {
-        for (k, n, channels) in [
-            (2usize, 8usize, 2usize),
-            (4, 13, 4),
-            (4, 13, 8),
-            (3, 5, 4),
-            (1, 7, 4), // singleton group delegates to the plain job
-        ] {
-            for wire in [WireFormat::Dense, WireFormat::Fp16] {
-                let results = run_ranks(k, move |comm| {
-                    let rng = CounterRng::new(42);
-                    let input = Tensor::randn([n], DType::F32, rng, (comm.rank() * 1000) as u64);
-                    let reference = crate::ring_all_reduce_wire(
-                        &comm,
-                        group_of(k),
-                        &input,
-                        ReduceOp::Sum,
-                        wire,
-                    );
-                    comm.reset_ledger();
-                    let single_bytes = {
-                        let before = comm.ledger().bytes_sent;
-                        let mut sched = CommScheduler::new();
-                        sched.enqueue(9, 0, group_of(k), &input, ReduceOp::Sum, wire);
-                        let _ = sched.wait(&comm, 9);
-                        comm.ledger().bytes_sent - before
-                    };
-                    let before = comm.ledger().bytes_sent;
-                    let mut sched = CommScheduler::new();
-                    sched.enqueue_striped(9, 0, group_of(k), &input, ReduceOp::Sum, wire, channels);
-                    let got = sched.wait(&comm, 9);
-                    let striped_bytes = comm.ledger().bytes_sent - before;
-                    (got, reference, striped_bytes, single_bytes)
-                });
-                for (r, (got, reference, striped_bytes, single_bytes)) in
-                    results.into_iter().enumerate()
-                {
-                    let label = format!("k={k} n={n} C={channels} {wire} rank={r}");
-                    assert_eq!(got.shape(), reference.shape(), "{label}");
-                    let bits = |t: &Tensor| {
-                        t.to_f32_vec()
-                            .iter()
-                            .map(|v| v.to_bits())
-                            .collect::<Vec<_>>()
-                    };
-                    assert_eq!(bits(&got), bits(&reference), "{label}");
-                    assert_eq!(striped_bytes, single_bytes, "{label}");
-                }
-            }
         }
     }
 
@@ -1627,7 +1752,7 @@ mod tests {
                         *p = step;
                     },
                 );
-                (exec.params(), exec.completion_log().to_vec())
+                (exec.params(), completion_ids(exec.completion_events()))
             })
         };
         let barriered = run(CommSched::Barriered);

@@ -114,7 +114,8 @@ pub fn switch_all_reduce(comm: &RankComm, group: Group, input: &Tensor, op: Redu
 mod tests {
     use super::*;
     use crate::comm::run_ranks;
-    use crate::ring_all_reduce;
+    use crate::ring_all_reduce_wire_striped;
+    use coconet_compress::WireFormat;
     use coconet_tensor::DType;
 
     #[test]
@@ -126,7 +127,14 @@ mod tests {
                     ((comm.rank() * 37 + i) as f32).sin() * 3.0
                 });
                 let via_switch = switch_all_reduce(&comm, group, &input, ReduceOp::Sum);
-                let via_ring = ring_all_reduce(&comm, group, &input, ReduceOp::Sum);
+                let via_ring = ring_all_reduce_wire_striped(
+                    &comm,
+                    group,
+                    &input,
+                    ReduceOp::Sum,
+                    WireFormat::Dense,
+                    1,
+                );
                 (via_switch, via_ring)
             });
             for (rank, (s, r)) in results.iter().enumerate() {

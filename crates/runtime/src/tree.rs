@@ -19,32 +19,18 @@ use crate::RankComm;
 
 /// Binomial-tree Reduce to group position 0, then binomial Broadcast —
 /// an AllReduce in `2·ceil(log2(k))` rounds.
-pub fn tree_all_reduce(comm: &RankComm, group: Group, input: &Tensor, op: ReduceOp) -> Tensor {
-    tree_all_reduce_wire(comm, group, input, op, WireFormat::Dense)
-}
-
-/// [`tree_all_reduce`] with every payload encoded per `wire`. Under
-/// FP16 each reduce-phase partial rounds to half precision as it
-/// travels, and the root rounds its final value once before the
-/// broadcast so every rank (the root included) returns the identical
-/// decoded tensor — the all-ranks-agree postcondition the dense tree
-/// has. The dense wire is byte- and allocation-identical to
-/// [`tree_all_reduce`].
-pub fn tree_all_reduce_wire(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    wire: WireFormat,
-) -> Tensor {
-    tree_all_reduce_wire_striped(comm, group, input, op, wire, 1)
-}
-
-/// [`tree_all_reduce_wire`] with every hop's payload split into
-/// `channels` contiguous lane stripes (zero-copy views of the encoded
-/// buffer, so the wire byte total is unchanged and the result is
-/// bit-identical at every width — stripes reassemble before each fold
-/// and each decode). `channels <= 1` sends whole payloads.
+///
+/// Every payload is encoded per `wire`. Under FP16 each reduce-phase
+/// partial rounds to half precision as it travels, and the root rounds
+/// its final value once before the broadcast so every rank (the root
+/// included) returns the identical decoded tensor — the
+/// all-ranks-agree postcondition the dense tree has.
+///
+/// Every hop's payload splits into `channels` contiguous lane stripes
+/// (zero-copy views of the encoded buffer, so the wire byte total is
+/// unchanged and the result is bit-identical at every width — stripes
+/// reassemble before each fold and each decode). `channels <= 1`
+/// sends whole payloads.
 pub fn tree_all_reduce_wire_striped(
     comm: &RankComm,
     group: Group,
@@ -118,6 +104,10 @@ mod tests {
     use coconet_tensor::DType;
     use std::thread;
 
+    fn tree_all_reduce(comm: &RankComm, group: Group, input: &Tensor, op: ReduceOp) -> Tensor {
+        tree_all_reduce_wire_striped(comm, group, input, op, WireFormat::Dense, 1)
+    }
+
     fn run_tree(k: usize) -> Vec<Tensor> {
         let world = RankComm::world(k);
         let handles: Vec<_> = world
@@ -163,7 +153,14 @@ mod tests {
                     let input =
                         Tensor::from_fn([13], DType::F32, |i| (comm.rank() * 31 + i * 7) as f32);
                     let tree = tree_all_reduce(&comm, group, &input, ReduceOp::Sum);
-                    let ring = crate::ring_all_reduce(&comm, group, &input, ReduceOp::Sum);
+                    let ring = crate::ring_all_reduce_wire_striped(
+                        &comm,
+                        group,
+                        &input,
+                        ReduceOp::Sum,
+                        WireFormat::Dense,
+                        1,
+                    );
                     (tree, ring)
                 })
             })

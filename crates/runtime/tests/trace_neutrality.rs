@@ -62,7 +62,8 @@ fn run_loop(
                 *p = stepped;
             },
         );
-        (exec.params(), exec.completion_log(), comm.ledger())
+        let ids = exec.completion_events().iter().map(|c| c.id).collect();
+        (exec.params(), ids, comm.ledger())
     })
 }
 
@@ -158,8 +159,7 @@ proptest! {
 
 /// A traced priority-schedule run produces a well-formed trace: spans
 /// nested per thread, record timestamps monotone, every scheduler
-/// enqueue matched by a completion — and the structured completion
-/// events agree with the compatibility id log.
+/// enqueue matched by a completion.
 #[test]
 fn priority_run_emits_a_well_formed_trace() {
     let _gate = GATE.lock().unwrap();
@@ -188,10 +188,10 @@ fn priority_run_emits_a_well_formed_trace() {
     trace::wellformed::check_well_formed(&events).expect("trace well-formed");
 }
 
-/// The structured completion events carry the same id sequence as the
-/// compatibility log, monotone timestamps, and the enqueue classes.
+/// The structured completion events carry the jobs' ids in priority
+/// order, monotone timestamps, and the enqueue classes.
 #[test]
-fn completion_events_match_the_id_log() {
+fn completion_events_record_priority_order() {
     use coconet_runtime::CommScheduler;
     use coconet_tensor::ReduceOp;
 
@@ -205,21 +205,15 @@ fn completion_events_match_the_id_log() {
         sched.enqueue(10, 5, group, &a, ReduceOp::Sum, WireFormat::Dense);
         sched.enqueue(20, 0, group, &b, ReduceOp::Sum, WireFormat::Dense);
         sched.drain(&comm);
-        let ids = sched.completion_log();
-        let events: Vec<(u64, u8, u64)> = sched
+        sched
             .completion_events()
             .iter()
             .map(|c| (c.id, c.class, c.ts_ns))
-            .collect();
-        (ids, events)
+            .collect::<Vec<(u64, u8, u64)>>()
     });
-    for (ids, events) in results {
+    for events in results {
+        let ids: Vec<u64> = events.iter().map(|&(id, _, _)| id).collect();
         assert_eq!(ids, vec![20, 10], "priority order");
-        assert_eq!(
-            ids,
-            events.iter().map(|&(id, _, _)| id).collect::<Vec<_>>(),
-            "structured events and id log agree"
-        );
         assert_eq!(events[0].1, 0, "urgent job completed at class 0");
         assert_eq!(events[1].1, 5, "late job completed at class 5");
         assert!(events[0].2 <= events[1].2, "timestamps monotone");

@@ -3,6 +3,7 @@
 //! the functional runtime and must reproduce the untransformed
 //! program's outputs.
 
+use coconet::compress::WireFormat;
 use coconet::core::xform::{fuse_all_reduce, overlap, reorder_all_gather, split_all_reduce};
 use coconet::core::{Autotuner, Binding, CollAlgo, DType, Layout, Program, ReduceOp};
 use coconet::models::model_parallel::{apply_block_schedule, Block, BlockSchedule};
@@ -10,8 +11,8 @@ use coconet::models::optimizers::{apply_optimizer_schedule, optimizer_program, r
 use coconet::models::pipeline::{apply_pipeline_schedule, PipelineSchedule};
 use coconet::models::{Hyper, Optimizer, OptimizerSchedule};
 use coconet::runtime::{
-    hierarchical_all_gather, hierarchical_reduce_scatter, ring_all_reduce, run_program, run_ranks,
-    Group, Inputs, RunOptions,
+    hierarchical_all_gather_wire_striped, hierarchical_reduce_scatter_wire_striped,
+    ring_all_reduce_wire_striped, run_program, run_ranks, Group, Inputs, RunOptions,
 };
 use coconet::sim::Simulator;
 use coconet::tensor::{CounterRng, Tensor};
@@ -310,9 +311,13 @@ proptest! {
             let input = Tensor::from_fn([numel], DType::F32, |i| {
                 ((seed as usize + comm.rank() * 31 + i * 7) % 17) as f32 - 8.0
             });
-            let reference = ring_all_reduce(&comm, group, &input, op);
-            let chunk = hierarchical_reduce_scatter(&comm, group, &input, op, node_size);
-            let gathered = hierarchical_all_gather(&comm, group, &chunk, node_size);
+            let dense = WireFormat::Dense;
+            let reference = ring_all_reduce_wire_striped(&comm, group, &input, op, dense, 1);
+            let chunk = hierarchical_reduce_scatter_wire_striped(
+                &comm, group, &input, op, node_size, dense, 1,
+            );
+            let gathered =
+                hierarchical_all_gather_wire_striped(&comm, group, &chunk, node_size, dense, 1);
             let mut composed = Tensor::zeros([numel], DType::F32);
             let mut off = 0;
             for c in gathered {
