@@ -42,6 +42,7 @@ pub enum UnaryOp {
 
 impl UnaryOp {
     /// Applies the operation to one value.
+    #[inline]
     pub fn apply(self, x: f32) -> f32 {
         match self {
             UnaryOp::Sqrt => x.sqrt(),
@@ -79,6 +80,7 @@ pub enum BinaryOp {
 
 impl BinaryOp {
     /// Applies the operation to a pair of values.
+    #[inline]
     pub fn apply(self, a: f32, b: f32) -> f32 {
         match self {
             BinaryOp::Add => a + b,

@@ -1,14 +1,17 @@
 //! Distributed tensor values: a layout plus this rank's local storage.
 //!
 //! The executor evaluates every DSL operation against these values.
-//! Per-element access goes through *global* indices, so a computation
+//! Operands are addressed by *global* flat index, so a computation
 //! produces identical results whether its operands are replicated or
 //! sliced — which is exactly the property that makes the paper's
 //! transformations semantics-preserving, and what the integration tests
-//! verify.
+//! verify. The mapping is resolved a contiguous run at a time, never per
+//! element: [`DistValue::global_run`] splits a layout's local domain
+//! into runs of consecutive global indices, and [`DistValue::local_run`]
+//! finds the local window holding a run of global indices.
 
 use coconet_core::{Layout, SliceDim};
-use coconet_tensor::{Shape, Tensor};
+use coconet_tensor::{Shape, Tensor, TensorError};
 
 /// A distributed value as seen from one rank: the global shape, the
 /// distributed layout, and the local storage (the full tensor for
@@ -60,33 +63,141 @@ impl DistValue {
         self.global_shape.numel()
     }
 
-    /// The per-rank flat chunk length for flat-sliced layouts.
+    /// The value of a full `global` tensor on rank `pos` of a group of
+    /// `group_size` under `layout`: the tensor itself when replicated or
+    /// local, else this rank's share — a zero-copy view for flat and
+    /// leading-dimension slices, one contiguous row copy per leading
+    /// index for interior-dimension slices.
+    ///
+    /// # Errors
+    ///
+    /// Returns tensor errors when the share is out of range (the sliced
+    /// extent does not divide the group).
+    pub(crate) fn from_global(
+        global: &Tensor,
+        layout: Layout,
+        pos: usize,
+        group_size: usize,
+    ) -> Result<DistValue, TensorError> {
+        let local = match layout {
+            Layout::Replicated | Layout::Local => global.clone(),
+            Layout::Sliced(SliceDim::Flat) => {
+                let n = global.numel() / group_size;
+                global.slice_flat(pos * n, n)?
+            }
+            Layout::Sliced(SliceDim::Dim(d)) => {
+                let extent = global.shape().dim(d) / group_size;
+                global.slice_dim(d, pos * extent, extent)?
+            }
+        };
+        Ok(DistValue {
+            global_shape: global.shape().clone(),
+            layout,
+            local,
+            pos,
+            group_size,
+        })
+    }
+
+    /// The run of consecutive *global* indices that starts at local
+    /// index `local_idx` of a `layout` value on rank `pos`: its global
+    /// start, and how many local elements from `local_idx` it spans.
+    /// Replicated, local and flat-sliced values are one run; a value
+    /// sliced on dimension `d` is one run per index of the dimensions
+    /// before `d`.
+    pub(crate) fn global_run(
+        global_shape: &Shape,
+        layout: Layout,
+        pos: usize,
+        group_size: usize,
+        local_idx: usize,
+    ) -> (usize, usize) {
+        match layout {
+            Layout::Replicated | Layout::Local => (local_idx, global_shape.numel() - local_idx),
+            Layout::Sliced(SliceDim::Flat) => {
+                let chunk = global_shape.numel() / group_size;
+                (pos * chunk + local_idx, chunk - local_idx)
+            }
+            Layout::Sliced(SliceDim::Dim(d)) => {
+                let (row, ext) = DistValue::dim_rows(global_shape, d, group_size);
+                let (outer, r) = (local_idx / ext, local_idx % ext);
+                (outer * row + pos * ext + r, ext - r)
+            }
+        }
+    }
+
+    /// Where this rank stores the element at *global* flat index
+    /// `gidx`: its local index, and how many consecutive global indices
+    /// from `gidx` sit contiguously in local storage from there.
     ///
     /// # Panics
     ///
-    /// Panics if the global element count does not divide the group
-    /// (the type checker enforces divisibility before execution).
-    pub fn flat_chunk(&self) -> usize {
-        let n = self.global_numel();
-        assert_eq!(n % self.group_size, 0, "indivisible sliced tensor");
-        n / self.group_size
+    /// Panics if this rank does not store that element (the layout
+    /// rules guarantee it does for well-typed programs).
+    pub(crate) fn local_run(&self, gidx: usize) -> (usize, usize) {
+        let not_held = || -> ! {
+            panic!(
+                "rank pos {} does not hold global index {gidx} of a {} value",
+                self.pos, self.layout
+            )
+        };
+        match self.layout {
+            Layout::Replicated | Layout::Local => {
+                let n = self.local.numel();
+                if gidx >= n {
+                    not_held();
+                }
+                (gidx, n - gidx)
+            }
+            Layout::Sliced(SliceDim::Flat) => {
+                let chunk = self.local.numel();
+                let l = gidx
+                    .checked_sub(self.pos * chunk)
+                    .filter(|&l| l < chunk)
+                    .unwrap_or_else(|| not_held());
+                (l, chunk - l)
+            }
+            Layout::Sliced(SliceDim::Dim(d)) => {
+                let (row, ext) = DistValue::dim_rows(&self.global_shape, d, self.group_size);
+                let r = (gidx % row)
+                    .checked_sub(self.pos * ext)
+                    .filter(|&r| r < ext)
+                    .unwrap_or_else(|| not_held());
+                (gidx / row * ext + r, ext - r)
+            }
+        }
     }
 
+    /// For a value sliced on dimension `d`: the global elements per
+    /// index of the dimensions before `d`, and the share of them each
+    /// rank stores contiguously.
+    fn dim_rows(global_shape: &Shape, d: usize, group_size: usize) -> (usize, usize) {
+        let dims = global_shape.dims();
+        let row = dims[d..].iter().product::<usize>();
+        (row, row / group_size)
+    }
+
+    /// The shape of the local storage for a given layout over a global
+    /// shape.
+    pub fn local_shape(global: &Shape, layout: Layout, group_size: usize) -> Shape {
+        match layout {
+            Layout::Replicated | Layout::Local => global.clone(),
+            Layout::Sliced(SliceDim::Flat) => Shape::from([global.numel() / group_size]),
+            Layout::Sliced(SliceDim::Dim(d)) => {
+                let mut dims = global.dims().to_vec();
+                dims[d] /= group_size;
+                Shape::new(dims)
+            }
+        }
+    }
+}
+
+/// The per-element global-index mapping the run mappings replace,
+/// kept as the reference they (and the executor's run-based
+/// evaluation) are tested against.
+#[cfg(test)]
+impl DistValue {
     /// Maps a local element index to its global flat index.
-    pub fn global_index(&self, local_idx: usize) -> usize {
-        DistValue::global_index_in(
-            &self.global_shape,
-            self.layout,
-            self.local.shape(),
-            self.pos,
-            self.group_size,
-            local_idx,
-        )
-    }
-
-    /// The local-to-global index mapping without a materialized
-    /// [`DistValue`] — what callers use to fill a local buffer in one
-    /// pass instead of allocating a placeholder tensor first.
     pub(crate) fn global_index_in(
         global_shape: &Shape,
         layout: Layout,
@@ -121,16 +232,11 @@ impl DistValue {
     }
 
     /// Reads the element at a *global* flat index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this rank does not store that element (the layout
-    /// rules guarantee it does for well-typed programs).
-    pub fn read_global(&self, gidx: usize) -> f32 {
+    pub(crate) fn read_global(&self, gidx: usize) -> f32 {
         match self.layout {
             Layout::Replicated | Layout::Local => self.local.get(gidx),
             Layout::Sliced(SliceDim::Flat) => {
-                let chunk = self.flat_chunk();
+                let chunk = self.global_numel() / self.group_size;
                 let local = gidx
                     .checked_sub(self.pos * chunk)
                     .filter(|&l| l < chunk)
@@ -161,20 +267,6 @@ impl DistValue {
             }
         }
     }
-
-    /// The shape of the local storage for a given layout over a global
-    /// shape.
-    pub fn local_shape(global: &Shape, layout: Layout, group_size: usize) -> Shape {
-        match layout {
-            Layout::Replicated | Layout::Local => global.clone(),
-            Layout::Sliced(SliceDim::Flat) => Shape::from([global.numel() / group_size]),
-            Layout::Sliced(SliceDim::Dim(d)) => {
-                let mut dims = global.dims().to_vec();
-                dims[d] /= group_size;
-                Shape::new(dims)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -182,18 +274,35 @@ mod tests {
     use super::*;
     use coconet_tensor::DType;
 
-    #[test]
-    fn replicated_identity_mapping() {
-        let t = Tensor::from_fn([2, 3], DType::F32, |i| i as f32);
-        let v = DistValue::replicated(t, 1, 4);
-        for i in 0..6 {
-            assert_eq!(v.global_index(i), i);
-            assert_eq!(v.read_global(i), i as f32);
+    fn sliced(
+        global: [usize; 2],
+        layout: Layout,
+        local: Tensor,
+        pos: usize,
+        gs: usize,
+    ) -> DistValue {
+        DistValue {
+            global_shape: Shape::from(global),
+            layout,
+            local,
+            pos,
+            group_size: gs,
         }
     }
 
     #[test]
-    fn flat_sliced_mapping() {
+    fn replicated_is_one_run() {
+        let t = Tensor::from_fn([2, 3], DType::F32, |i| i as f32);
+        let v = DistValue::replicated(t, 1, 4);
+        assert_eq!(
+            DistValue::global_run(&v.global_shape, v.layout, 1, 4, 0),
+            (0, 6)
+        );
+        assert_eq!(v.local_run(2), (2, 4));
+    }
+
+    #[test]
+    fn flat_sliced_runs() {
         // Global [8], 4 ranks, rank pos 2 holds elements 4..6.
         let local = Tensor::from_f32([2], DType::F32, &[40.0, 50.0]).unwrap();
         let v = DistValue {
@@ -203,11 +312,11 @@ mod tests {
             pos: 2,
             group_size: 4,
         };
-        assert_eq!(v.flat_chunk(), 2);
-        assert_eq!(v.global_index(0), 4);
-        assert_eq!(v.global_index(1), 5);
-        assert_eq!(v.read_global(4), 40.0);
-        assert_eq!(v.read_global(5), 50.0);
+        assert_eq!(
+            DistValue::global_run(&v.global_shape, v.layout, 2, 4, 0),
+            (4, 2)
+        );
+        assert_eq!(v.local_run(5), (1, 1));
     }
 
     #[test]
@@ -220,27 +329,38 @@ mod tests {
             pos: 2,
             group_size: 4,
         };
-        v.read_global(0);
+        v.local_run(0);
     }
 
     #[test]
-    fn dim_sliced_mapping() {
+    fn dim_sliced_runs() {
         // Global [2, 4] sliced on dim 1 over 2 ranks; pos 1 holds
-        // columns 2..4.
+        // columns 2..4: one run of two per row.
         let local = Tensor::from_f32([2, 2], DType::F32, &[2.0, 3.0, 6.0, 7.0]).unwrap();
-        let v = DistValue {
-            global_shape: Shape::from([2, 4]),
-            layout: Layout::sliced(1),
-            local,
-            pos: 1,
-            group_size: 2,
-        };
-        // Local (0,0) -> global (0,2) = flat 2.
-        assert_eq!(v.global_index(0), 2);
-        // Local (1,1) -> global (1,3) = flat 7.
-        assert_eq!(v.global_index(3), 7);
-        assert_eq!(v.read_global(2), 2.0);
-        assert_eq!(v.read_global(7), 7.0);
+        let v = sliced([2, 4], Layout::sliced(1), local, 1, 2);
+        assert_eq!(
+            DistValue::global_run(&v.global_shape, v.layout, 1, 2, 0),
+            (2, 2)
+        );
+        assert_eq!(
+            DistValue::global_run(&v.global_shape, v.layout, 1, 2, 3),
+            (7, 1)
+        );
+        assert_eq!(v.local_run(6), (2, 2));
+        assert_eq!(v.local_run(3), (1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not hold")]
+    fn dim_sliced_out_of_slice_panics() {
+        let v = sliced(
+            [2, 4],
+            Layout::sliced(1),
+            Tensor::zeros([2, 2], DType::F32),
+            1,
+            2,
+        );
+        v.local_run(4);
     }
 
     #[test]
@@ -260,28 +380,48 @@ mod tests {
         );
     }
 
+    /// The run mappings agree with the per-element reference mapping
+    /// at every element, for every layout and position, and
+    /// `from_global` stores exactly the elements the reference reads.
     #[test]
-    fn roundtrip_global_local() {
-        // global_index and read_global agree for every layout.
-        let global = Tensor::from_fn([4, 4], DType::F32, |i| i as f32);
-        for layout in [Layout::sliced_flat(), Layout::sliced(0), Layout::sliced(1)] {
-            for pos in 0..2 {
-                let lshape = DistValue::local_shape(global.shape(), layout, 2);
-                let mut local = Tensor::zeros(lshape.clone(), DType::F32);
-                let mut v = DistValue {
-                    global_shape: global.shape().clone(),
-                    layout,
-                    local: local.clone(),
-                    pos,
-                    group_size: 2,
-                };
-                for l in 0..lshape.numel() {
-                    local.set(l, global.get(v.global_index(l)));
-                }
-                v.local = local;
-                for l in 0..lshape.numel() {
-                    let g = v.global_index(l);
-                    assert_eq!(v.read_global(g), global.get(g), "{layout} pos {pos}");
+    fn runs_agree_with_the_element_mapping() {
+        let global = Tensor::from_fn([2, 6, 4], DType::F16, |i| i as f32);
+        let layouts = [
+            Layout::Replicated,
+            Layout::Local,
+            Layout::sliced_flat(),
+            Layout::sliced(0),
+            Layout::sliced(1),
+            Layout::sliced(2),
+        ];
+        for layout in layouts {
+            for gs in [1, 2] {
+                for pos in 0..gs {
+                    let v = DistValue::from_global(&global, layout, pos, gs).unwrap();
+                    let lshape = DistValue::local_shape(global.shape(), layout, gs);
+                    assert_eq!(v.local.shape(), &lshape, "{layout}");
+                    let mut l = 0;
+                    while l < lshape.numel() {
+                        let (g, len) = DistValue::global_run(global.shape(), layout, pos, gs, l);
+                        assert!(len > 0);
+                        for i in 0..len {
+                            let want = DistValue::global_index_in(
+                                global.shape(),
+                                layout,
+                                &lshape,
+                                pos,
+                                gs,
+                                l + i,
+                            );
+                            assert_eq!(g + i, want, "{layout} pos {pos}");
+                            let (at, rest) = v.local_run(want);
+                            assert_eq!(at, l + i, "{layout} pos {pos}");
+                            assert_eq!(rest, len - i, "{layout} pos {pos}");
+                            assert_eq!(v.local.get(at), v.read_global(want));
+                            assert_eq!(v.read_global(want), global.get(want));
+                        }
+                        l += len;
+                    }
                 }
             }
         }

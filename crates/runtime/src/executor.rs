@@ -13,15 +13,27 @@
 //! transformations are semantics preserving, and because every
 //! algorithm implements the same collective contract, the tests also
 //! verify the algorithms agree with each other.
+//!
+//! Pointwise steps run over contiguous runs, not element by element:
+//! the output's local domain splits into runs of consecutive global
+//! indices ([`DistValue::global_run`]), each operand resolves once per
+//! run (clipped where a broadcast or a slice boundary breaks it) to a
+//! typed window of its local buffer or to one repeated value, and one
+//! monomorphic loop per operation computes the run in `f32` — FP16
+//! operands widened a block at a time, FP16 results rounded on store.
+//! `Slice` and `Update` share their operand's storage where the layouts
+//! allow, and sliced inputs view (or copy row by row) only this rank's
+//! share of their initializer.
 
 use std::collections::HashMap;
 use std::thread;
 
 use coconet_compress::WireFormat;
 use coconet_core::{
-    Binding, CollAlgo, CommConfig, CommSched, Layout, OpKind, Program, SliceDim, VarId, XferSched,
+    BinaryOp, Binding, CollAlgo, CommConfig, CommSched, Layout, OpKind, Program, SliceDim, UnaryOp,
+    VarId, XferSched,
 };
-use coconet_tensor::{CounterRng, ReduceOp, Shape, Tensor};
+use coconet_tensor::{CounterRng, DType, ReduceOp, Shape, Tensor, F16};
 use coconet_topology::Cluster;
 
 use crate::collectives::{
@@ -564,6 +576,14 @@ fn execute_iteration(
         let out_shape = ty.shape.eval(binding)?;
         let out_dtype = ty.dtype;
 
+        let pointwise = Pointwise {
+            values: &values,
+            shape: &out_shape,
+            layout: out_layout,
+            dtype: out_dtype,
+            pos,
+            gs,
+        };
         let _step_span = coconet_trace::span(
             coconet_trace::EventKind::Compute,
             op_trace_label(node.op()),
@@ -582,74 +602,23 @@ fn execute_iteration(
                 gs,
             )?),
             OpKind::ConstScalar(c) => Some(DistValue::replicated(
-                Tensor::scalar(coconet_tensor::DType::F32, c as f32),
+                Tensor::scalar(DType::F32, c as f32),
                 pos,
                 gs,
             )),
-            OpKind::Unary(op, a) => eval_elementwise(
-                &values,
-                &[a],
-                &out_shape,
-                out_layout,
-                out_dtype,
-                pos,
-                gs,
-                |args, _| op.apply(args[0]),
-            ),
-            OpKind::Binary(op, a, b) => eval_elementwise(
-                &values,
-                &[a, b],
-                &out_shape,
-                out_layout,
-                out_dtype,
-                pos,
-                gs,
-                |args, _| op.apply(args[0], args[1]),
-            ),
-            OpKind::Dropout(a, p) => {
-                let rng = CounterRng::new(
+            OpKind::Unary(op, a) => pointwise.unary(op, a),
+            OpKind::Binary(op, a, b) => pointwise.binary(op, a, b),
+            OpKind::Dropout(a, p) => pointwise.dropout(
+                a,
+                p,
+                CounterRng::new(
                     opts.seed
                         .wrapping_add(dropout_ordinal[&v].wrapping_mul(0x9E37_79B9)),
-                );
-                let scale = (1.0 / (1.0 - p)) as f32;
-                eval_elementwise(
-                    &values,
-                    &[a],
-                    &out_shape,
-                    out_layout,
-                    out_dtype,
-                    pos,
-                    gs,
-                    move |args, gidx| {
-                        if rng.keep_at(gidx as u64, p) {
-                            args[0] * scale
-                        } else {
-                            0.0
-                        }
-                    },
-                )
-            }
-            OpKind::Slice(a) => eval_elementwise(
-                &values,
-                &[a],
-                &out_shape,
-                out_layout,
-                out_dtype,
-                pos,
-                gs,
-                |args, _| args[0],
+                ),
             ),
+            OpKind::Slice(a) => pointwise.copy(a),
             OpKind::Update(target, x) => {
-                let out = eval_elementwise(
-                    &values,
-                    &[x],
-                    &out_shape,
-                    out_layout,
-                    out_dtype,
-                    pos,
-                    gs,
-                    |args, _| args[0],
-                );
+                let out = pointwise.copy(x);
                 if let Some(val) = &out {
                     values[target.index()] = Some(val.clone());
                 }
@@ -857,7 +826,7 @@ fn materialize_input(
     name: &str,
     global_shape: &Shape,
     layout: Layout,
-    dtype: coconet_tensor::DType,
+    dtype: DType,
     inputs: &Inputs,
     rank: usize,
     pos: usize,
@@ -878,38 +847,13 @@ fn materialize_input(
                     ),
                 });
             }
-            let t = t.cast(dtype);
-            // Replicated and Local layouts store the full tensor: every
-            // rank shares one buffer handle instead of copying the
-            // initializer world_size times (the old broadcast chain).
-            if matches!(layout, Layout::Replicated | Layout::Local) {
-                return Ok(DistValue {
-                    global_shape: global_shape.clone(),
-                    layout,
-                    local: t,
-                    pos,
-                    group_size: gs,
-                });
-            }
-            // Sliced layouts build the local slice through the
-            // global-index mapping, in one allocation.
-            let local = Tensor::from_fn(local_shape.clone(), dtype, |l| {
-                t.get(DistValue::global_index_in(
-                    global_shape,
-                    layout,
-                    &local_shape,
-                    pos,
-                    gs,
-                    l,
-                ))
-            });
-            Ok(DistValue {
-                global_shape: global_shape.clone(),
-                layout,
-                local,
-                pos,
-                group_size: gs,
-            })
+            // Replicated and Local layouts share the initializer's
+            // buffer across ranks; sliced layouts view (or, for interior
+            // dimensions, copy row by row) only this rank's share, and
+            // only that share is cast.
+            let mut value = DistValue::from_global(t, layout, pos, gs)?;
+            value.local = value.local.cast(dtype);
+            Ok(value)
         }
         InitValue::PerRank(ts) => {
             let t = ts[rank].cast(dtype);
@@ -930,46 +874,283 @@ fn materialize_input(
     }
 }
 
-/// Evaluates a pointwise operation elementwise over the output's local
-/// domain, reading operands through global indices (with PyTorch
-/// broadcasting). Returns `None` if any operand is absent.
-#[allow(clippy::too_many_arguments)]
-fn eval_elementwise(
-    values: &[Option<DistValue>],
-    operands: &[VarId],
-    out_shape: &Shape,
-    out_layout: Layout,
-    out_dtype: coconet_tensor::DType,
+/// Elements a pointwise loop handles at a time: FP16 operands widen
+/// into, and FP16 results stage in, `f32` scratch of this length, so no
+/// operand is ever widened whole.
+const BLOCK: usize = 2048;
+
+/// One operand's values over a block: a window of `f32` values, or one
+/// value repeated (a size-1 or broadcast operand).
+#[derive(Clone, Copy)]
+enum Lane<'a> {
+    Vals(&'a [f32]),
+    Splat(f32),
+}
+
+/// One operand's storage over a run of output elements: a typed window
+/// of its local buffer, or one repeated value.
+enum Window<'v> {
+    F32(&'v [f32]),
+    F16(&'v [F16]),
+    Splat(f32),
+}
+
+/// A pointwise operand resolved once against the output's global shape.
+/// The output reads it in aligned blocks of `block` consecutive
+/// elements; over each block the operand's index either advances with
+/// the output's (`contiguous`: same shape, or a trailing-suffix
+/// broadcast such as a `[H]` bias against `[B, S, H]`) or stays put (a
+/// size-1 operand, or one broadcast along the innermost dimensions).
+struct Operand<'v> {
+    value: &'v DistValue,
+    block: usize,
+    contiguous: bool,
+}
+
+impl<'v> Operand<'v> {
+    fn new(value: &'v DistValue, out: &Shape) -> Operand<'v> {
+        let (dims, out) = (value.global_shape.dims(), out.dims());
+        let lead = out.len() - dims.len();
+        // The trailing output extent over which the (right-aligned)
+        // operand dimensions all satisfy `keep`.
+        let trailing = |keep: fn(usize, usize) -> bool| -> usize {
+            (0..out.len())
+                .rev()
+                .take_while(|&i| keep(if i < lead { 1 } else { dims[i - lead] }, out[i]))
+                .map(|i| out[i])
+                .product()
+        };
+        let same = trailing(|d, o| d == o);
+        let repeated = trailing(|d, _| d == 1);
+        Operand {
+            value,
+            block: same.max(repeated),
+            contiguous: same >= repeated,
+        }
+    }
+
+    /// The operand over output elements `g..g + len`, clipped to where
+    /// it stays one window (or one repeated value): the window and the
+    /// clipped length. One index computation, whatever the length.
+    fn window(&self, out: &Shape, g: usize, len: usize) -> (Window<'v>, usize) {
+        let len = len.min(self.block - g % self.block);
+        let gidx = self.value.global_shape.broadcast_index(out, g);
+        let (at, held) = self.value.local_run(gidx);
+        let local = &self.value.local;
+        if !self.contiguous {
+            return (Window::Splat(local.get(at)), len);
+        }
+        let len = len.min(held);
+        let window = match (local.as_f32_slice(), local.as_f16_slice()) {
+            (Some(v), _) => Window::F32(&v[at..at + len]),
+            (_, Some(v)) => Window::F16(&v[at..at + len]),
+            _ => unreachable!("tensors are F32 or F16"),
+        };
+        (window, len)
+    }
+}
+
+/// A pointwise step's result buffer: F32 results land in place, F16
+/// results stage a block in `f32` and round on store (as
+/// [`Tensor::from_f32_vec`] does).
+enum Staged {
+    F32(Vec<f32>),
+    F16(Vec<F16>, Vec<f32>),
+}
+
+impl Staged {
+    fn new(dtype: DType, n: usize) -> Staged {
+        match dtype {
+            DType::F32 => Staged::F32(vec![0.0; n]),
+            DType::F16 => Staged::F16(vec![F16::ZERO; n], vec![0.0; BLOCK.min(n)]),
+        }
+    }
+
+    /// Computes local elements `at..at + len` (`len <= BLOCK`) with `f`.
+    fn compute(&mut self, at: usize, len: usize, f: impl FnOnce(&mut [f32])) {
+        match self {
+            Staged::F32(v) => f(&mut v[at..at + len]),
+            Staged::F16(v, stage) => {
+                let stage = &mut stage[..len];
+                f(stage);
+                for (h, &x) in v[at..at + len].iter_mut().zip(stage.iter()) {
+                    *h = F16::from_f32(x);
+                }
+            }
+        }
+    }
+
+    fn into_tensor(self, shape: Shape) -> Tensor {
+        match self {
+            Staged::F32(v) => Tensor::from_f32_vec(shape, DType::F32, v),
+            Staged::F16(v, _) => Tensor::from_f16_vec(shape, v),
+        }
+        .expect("same element count")
+    }
+}
+
+/// A pointwise step on this rank: the values computed so far and the
+/// output's global shape, layout and element type. Each method returns
+/// `None` if an operand is absent on this rank.
+struct Pointwise<'v> {
+    values: &'v [Option<DistValue>],
+    shape: &'v Shape,
+    layout: Layout,
+    dtype: DType,
     pos: usize,
     gs: usize,
-    f: impl Fn(&[f32], usize) -> f32,
-) -> Option<DistValue> {
-    let ops: Option<Vec<&DistValue>> = operands
-        .iter()
-        .map(|o| values[o.index()].as_ref())
-        .collect();
-    let ops = ops?;
-    let local_shape = DistValue::local_shape(out_shape, out_layout, gs);
-    // One pass into a staging vector, one buffer materialization — no
-    // placeholder tensor for the index mapping.
-    let mut data = vec![0.0f32; local_shape.numel()];
-    let mut args = vec![0.0f32; ops.len()];
-    for (l, slot_out) in data.iter_mut().enumerate() {
-        let gidx = DistValue::global_index_in(out_shape, out_layout, &local_shape, pos, gs, l);
-        for (slot, op) in args.iter_mut().zip(&ops) {
-            let op_gidx = op.global_shape.broadcast_index(out_shape, gidx);
-            *slot = op.read_global(op_gidx);
+}
+
+impl Pointwise<'_> {
+    fn unary(&self, op: UnaryOp, a: VarId) -> Option<DistValue> {
+        // One arm per operation, so every inner loop is monomorphic.
+        match op {
+            UnaryOp::Sqrt => self.map(a, |x, _| UnaryOp::Sqrt.apply(x)),
+            UnaryOp::Tanh => self.map(a, |x, _| UnaryOp::Tanh.apply(x)),
+            UnaryOp::Relu => self.map(a, |x, _| UnaryOp::Relu.apply(x)),
+            UnaryOp::Neg => self.map(a, |x, _| UnaryOp::Neg.apply(x)),
         }
-        *slot_out = f(&args, gidx);
     }
-    let local = Tensor::from_f32_vec(local_shape, out_dtype, data).expect("same element count");
-    Some(DistValue {
-        global_shape: out_shape.clone(),
-        layout: out_layout,
-        local,
-        pos,
-        group_size: gs,
-    })
+
+    fn binary(&self, op: BinaryOp, a: VarId, b: VarId) -> Option<DistValue> {
+        match op {
+            BinaryOp::Add => self.zip(a, b, |x, y| BinaryOp::Add.apply(x, y)),
+            BinaryOp::Sub => self.zip(a, b, |x, y| BinaryOp::Sub.apply(x, y)),
+            BinaryOp::Mul => self.zip(a, b, |x, y| BinaryOp::Mul.apply(x, y)),
+            BinaryOp::Div => self.zip(a, b, |x, y| BinaryOp::Div.apply(x, y)),
+            BinaryOp::Pow => self.zip(a, b, |x, y| BinaryOp::Pow.apply(x, y)),
+        }
+    }
+
+    /// Inverted dropout: the mask of output element `g` is
+    /// `rng.keep_at(g)` at its *global* index, so every layout and
+    /// schedule draws the same masks.
+    fn dropout(&self, a: VarId, p: f64, rng: CounterRng) -> Option<DistValue> {
+        let scale = (1.0 / (1.0 - p)) as f32;
+        self.map(a, |x, g| {
+            if rng.keep_at(g as u64, p) {
+                x * scale
+            } else {
+                0.0
+            }
+        })
+    }
+
+    /// `Slice` and `Update`: a pure copy. Without a dtype change it
+    /// shares the operand's storage — the whole buffer under the same
+    /// layout, this rank's share of a replicated operand otherwise.
+    fn copy(&self, a: VarId) -> Option<DistValue> {
+        let src = self.values[a.index()].as_ref()?;
+        if src.local.dtype() == self.dtype && src.global_shape == *self.shape {
+            if src.layout == self.layout {
+                return Some(src.clone());
+            }
+            if matches!(src.layout, Layout::Replicated | Layout::Local) {
+                if let Ok(value) =
+                    DistValue::from_global(&src.local, self.layout, self.pos, self.gs)
+                {
+                    return Some(value);
+                }
+            }
+        }
+        self.map(a, |x, _| x)
+    }
+
+    /// A one-operand step; `f` takes the value and its output element's
+    /// global index.
+    fn map(&self, a: VarId, f: impl Fn(f32, usize) -> f32) -> Option<DistValue> {
+        self.eval([a], |[x], out, g| match x {
+            Lane::Vals(x) => {
+                for (i, (o, &x)) in out.iter_mut().zip(x).enumerate() {
+                    *o = f(x, g + i);
+                }
+            }
+            Lane::Splat(x) => {
+                for (i, o) in out.iter_mut().enumerate() {
+                    *o = f(x, g + i);
+                }
+            }
+        })
+    }
+
+    fn zip(&self, a: VarId, b: VarId, f: impl Fn(f32, f32) -> f32) -> Option<DistValue> {
+        self.eval([a, b], |[x, y], out, _| match (x, y) {
+            (Lane::Vals(x), Lane::Vals(y)) => {
+                for ((o, &x), &y) in out.iter_mut().zip(x).zip(y) {
+                    *o = f(x, y);
+                }
+            }
+            (Lane::Vals(x), Lane::Splat(y)) => {
+                for (o, &x) in out.iter_mut().zip(x) {
+                    *o = f(x, y);
+                }
+            }
+            (Lane::Splat(x), Lane::Vals(y)) => {
+                for (o, &y) in out.iter_mut().zip(y) {
+                    *o = f(x, y);
+                }
+            }
+            (Lane::Splat(x), Lane::Splat(y)) => out.fill(f(x, y)),
+        })
+    }
+
+    /// Evaluates `kernel` over the output's local domain: one run of
+    /// consecutive global indices at a time, split only where an
+    /// operand's window breaks, in blocks of at most [`BLOCK`]. The
+    /// kernel receives the block's operand lanes, its output slice, and
+    /// the global index of its first element.
+    fn eval<const N: usize>(
+        &self,
+        operands: [VarId; N],
+        kernel: impl Fn([Lane<'_>; N], &mut [f32], usize),
+    ) -> Option<DistValue> {
+        let mut ops = Vec::with_capacity(N);
+        for o in operands {
+            ops.push(Operand::new(self.values[o.index()].as_ref()?, self.shape));
+        }
+        let local_shape = DistValue::local_shape(self.shape, self.layout, self.gs);
+        let n = local_shape.numel();
+        let mut out = Staged::new(self.dtype, n);
+        let mut widened = vec![0.0f32; N * BLOCK];
+        let mut l = 0;
+        while l < n {
+            let (g, run) = DistValue::global_run(self.shape, self.layout, self.pos, self.gs, l);
+            let mut done = 0;
+            while done < run {
+                let mut len = run - done;
+                let windows: [Window; N] = std::array::from_fn(|k| {
+                    let (window, clipped) = ops[k].window(self.shape, g + done, len);
+                    len = clipped;
+                    window
+                });
+                for b in (0..len).step_by(BLOCK) {
+                    let bl = BLOCK.min(len - b);
+                    for (window, scratch) in windows.iter().zip(widened.chunks_mut(BLOCK)) {
+                        if let Window::F16(v) = window {
+                            for (x, h) in scratch.iter_mut().zip(&v[b..b + bl]) {
+                                *x = h.to_f32();
+                            }
+                        }
+                    }
+                    let lanes = std::array::from_fn(|k| match windows[k] {
+                        Window::F32(v) => Lane::Vals(&v[b..b + bl]),
+                        Window::F16(_) => Lane::Vals(&widened[k * BLOCK..k * BLOCK + bl]),
+                        Window::Splat(x) => Lane::Splat(x),
+                    });
+                    out.compute(l + done + b, bl, |dst| kernel(lanes, dst, g + done + b));
+                }
+                done += len;
+            }
+            l += run;
+        }
+        Some(DistValue {
+            global_shape: self.shape.clone(),
+            layout: self.layout,
+            local: out.into_tensor(local_shape),
+            pos: self.pos,
+            group_size: self.gs,
+        })
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -979,7 +1160,7 @@ fn eval_matmul(
     w: VarId,
     out_shape: &Shape,
     out_layout: Layout,
-    out_dtype: coconet_tensor::DType,
+    out_dtype: DType,
     pos: usize,
     gs: usize,
 ) -> Result<Option<DistValue>, RuntimeError> {
@@ -1022,7 +1203,7 @@ fn eval_full_reduction(
     }
     let total = if is_norm { partial.sqrt() } else { partial };
     Some(DistValue::replicated(
-        Tensor::scalar(coconet_tensor::DType::F32, total as f32),
+        Tensor::scalar(DType::F32, total as f32),
         pos,
         gs,
     ))
@@ -1419,5 +1600,255 @@ mod tests {
         // over ranks -> sqrt(8 * 16).
         let norm = result.global("norm").unwrap();
         assert!((norm.get(0) - (8.0f32 * 16.0).sqrt()).abs() < 1e-4);
+    }
+
+    /// The per-element evaluator the run-based one replaced: every
+    /// output element maps to its global index, and every operand is
+    /// read through `broadcast_index` and `read_global`.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_elementwise(
+        values: &[Option<DistValue>],
+        operands: &[VarId],
+        out_shape: &Shape,
+        out_layout: Layout,
+        out_dtype: DType,
+        pos: usize,
+        gs: usize,
+        f: impl Fn(&[f32], usize) -> f32,
+    ) -> Option<DistValue> {
+        let ops: Option<Vec<&DistValue>> = operands
+            .iter()
+            .map(|o| values[o.index()].as_ref())
+            .collect();
+        let ops = ops?;
+        let local_shape = DistValue::local_shape(out_shape, out_layout, gs);
+        let mut data = vec![0.0f32; local_shape.numel()];
+        let mut args = vec![0.0f32; ops.len()];
+        for (l, slot_out) in data.iter_mut().enumerate() {
+            let gidx = DistValue::global_index_in(out_shape, out_layout, &local_shape, pos, gs, l);
+            for (slot, op) in args.iter_mut().zip(&ops) {
+                let op_gidx = op.global_shape.broadcast_index(out_shape, gidx);
+                *slot = op.read_global(op_gidx);
+            }
+            *slot_out = f(&args, gidx);
+        }
+        let local = Tensor::from_f32_vec(local_shape, out_dtype, data).expect("same element count");
+        Some(DistValue {
+            global_shape: out_shape.clone(),
+            layout: out_layout,
+            local,
+            pos,
+            group_size: gs,
+        })
+    }
+
+    /// The per-element input slicing the views and row copies replaced:
+    /// convert, then gather this rank's elements by global index.
+    fn reference_share(t: &Tensor, layout: Layout, dtype: DType, pos: usize, gs: usize) -> Tensor {
+        let t = Tensor::from_fn(t.shape().clone(), dtype, |i| t.get(i));
+        let local_shape = DistValue::local_shape(t.shape(), layout, gs);
+        Tensor::from_fn(local_shape.clone(), dtype, |l| {
+            t.get(DistValue::global_index_in(
+                t.shape(),
+                layout,
+                &local_shape,
+                pos,
+                gs,
+                l,
+            ))
+        })
+    }
+
+    /// The stored bit patterns, in the tensor's own dtype.
+    fn bits(t: &Tensor) -> Vec<u32> {
+        match (t.as_f32_slice(), t.as_f16_slice()) {
+            (Some(v), _) => v.iter().map(|x| x.to_bits()).collect(),
+            (_, Some(v)) => v.iter().map(|h| u32::from(h.to_bits())).collect(),
+            _ => unreachable!("tensors are F32 or F16"),
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Unary(UnaryOp),
+        Binary(BinaryOp),
+        Dropout(f64),
+        Copy,
+    }
+
+    const STEPS: [Step; 12] = [
+        Step::Unary(UnaryOp::Sqrt),
+        Step::Unary(UnaryOp::Tanh),
+        Step::Unary(UnaryOp::Relu),
+        Step::Unary(UnaryOp::Neg),
+        Step::Binary(BinaryOp::Add),
+        Step::Binary(BinaryOp::Sub),
+        Step::Binary(BinaryOp::Mul),
+        Step::Binary(BinaryOp::Div),
+        Step::Binary(BinaryOp::Pow),
+        Step::Dropout(0.25),
+        Step::Dropout(0.5),
+        Step::Copy,
+    ];
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Run-based pointwise evaluation and input materialization are
+        /// bit-identical to the per-element reference: ranks 0–4, every
+        /// layout at every position of groups of 1–4, same-shape,
+        /// size-1, trailing-suffix and interior broadcasts, F16/F32
+        /// mixes, every operation, and rows longer than one block.
+        #[test]
+        fn run_based_evaluation_matches_the_element_loop(
+            rank in 0usize..5,
+            dims in prop::collection::vec(1usize..5, 4..5),
+            step_pick in 0usize..12,
+            operand_picks in prop::collection::vec(0usize..4096, 2..3),
+            dtype_bits in 0usize..16,
+            wide in any::<bool>(),
+        ) {
+            let mut dims = dims[..rank].to_vec();
+            // Rows several blocks long, for the block loop.
+            if wide && (1..=2).contains(&rank) {
+                dims[rank - 1] *= BLOCK / 2 + 1;
+            }
+            let out_shape = Shape::new(dims);
+            let dtype = |bit: usize| if dtype_bits >> bit & 1 == 1 { DType::F16 } else { DType::F32 };
+            let out_dtype = dtype(2);
+            let step = STEPS[step_pick];
+            let arity = if matches!(step, Step::Binary(_)) { 2 } else { 1 };
+
+            // Operands: the output's shape (under the output's layout or
+            // a full one), or a broadcast shape — leading dims dropped,
+            // half the time some set to 1 — held in full.
+            let rng = CounterRng::new(11);
+            let operands: Vec<(Tensor, Option<Layout>)> = operand_picks
+                .iter()
+                .take(arity)
+                .enumerate()
+                .map(|(k, &pick)| {
+                    let (shape, layout) = if pick % 2 == 0 {
+                        let layout = [None, Some(Layout::Replicated), Some(Layout::Local)];
+                        (out_shape.clone(), layout[pick / 2 % 3])
+                    } else {
+                        let drop = pick / 2 % (rank + 1);
+                        let ones = if pick / 8 % 2 == 0 { 0 } else { pick / 32 };
+                        let dims: Vec<usize> = out_shape.dims()[drop..]
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &x)| if ones >> i & 1 == 1 { 1 } else { x })
+                            .collect();
+                        let layout = [Layout::Replicated, Layout::Local][pick / 16 % 2];
+                        (Shape::new(dims), Some(layout))
+                    };
+                    (Tensor::randn(shape, dtype(k), rng, 10_000 * k as u64), layout)
+                })
+                .collect();
+            let mut program = Program::new("ids");
+            let vars = [
+                program.input("a", DType::F32, ["N"], Layout::Replicated),
+                program.input("b", DType::F32, ["N"], Layout::Replicated),
+            ];
+
+            let mut layouts = vec![Layout::Replicated, Layout::Local, Layout::sliced_flat()];
+            layouts.extend((0..rank).map(Layout::sliced));
+            for gs in 1..=4 {
+                for &layout in &layouts {
+                    let divides = match layout {
+                        Layout::Sliced(SliceDim::Flat) => out_shape.numel().is_multiple_of(gs),
+                        Layout::Sliced(SliceDim::Dim(d)) => out_shape.dim(d).is_multiple_of(gs),
+                        _ => true,
+                    };
+                    if !divides {
+                        continue;
+                    }
+                    for pos in 0..gs {
+                        let mut values: Vec<Option<DistValue>> = vec![None; 2];
+                        for ((global, op_layout), v) in operands.iter().zip(vars) {
+                            let op_layout = op_layout.unwrap_or(layout);
+                            values[v.index()] = Some(DistValue {
+                                global_shape: global.shape().clone(),
+                                layout: op_layout,
+                                local: reference_share(global, op_layout, global.dtype(), pos, gs),
+                                pos,
+                                group_size: gs,
+                            });
+                        }
+                        let pointwise = Pointwise {
+                            values: &values,
+                            shape: &out_shape,
+                            layout,
+                            dtype: out_dtype,
+                            pos,
+                            gs,
+                        };
+                        let reference = |f: &dyn Fn(&[f32], usize) -> f32| {
+                            reference_elementwise(
+                                &values, &vars[..arity], &out_shape, layout, out_dtype, pos, gs, f,
+                            )
+                        };
+                        let (got, want) = match step {
+                            Step::Unary(op) => {
+                                (pointwise.unary(op, vars[0]), reference(&|a, _| op.apply(a[0])))
+                            }
+                            Step::Binary(op) => (
+                                pointwise.binary(op, vars[0], vars[1]),
+                                reference(&|a, _| op.apply(a[0], a[1])),
+                            ),
+                            Step::Dropout(p) => {
+                                let drop_rng = CounterRng::new(5);
+                                let scale = (1.0 / (1.0 - p)) as f32;
+                                (
+                                    pointwise.dropout(vars[0], p, drop_rng),
+                                    reference(&|a, g| {
+                                        if drop_rng.keep_at(g as u64, p) { a[0] * scale } else { 0.0 }
+                                    }),
+                                )
+                            }
+                            Step::Copy => (pointwise.copy(vars[0]), reference(&|a, _| a[0])),
+                        };
+                        let (got, want) = (got.unwrap(), want.unwrap());
+                        let case = format!(
+                            "{step:?} -> {out_shape} {layout} {out_dtype:?} pos {pos}/{gs}, operands {:?}",
+                            operands.iter().map(|(t, l)| (t.shape(), t.dtype(), l)).collect::<Vec<_>>()
+                        );
+                        prop_assert_eq!(&got.global_shape, &want.global_shape, "{}", case);
+                        prop_assert_eq!(got.layout, want.layout, "{}", case);
+                        prop_assert_eq!(got.local.shape(), want.local.shape(), "{}", case);
+                        prop_assert_eq!(bits(&got.local), bits(&want.local), "{}", case);
+                    }
+
+                    // Input materialization: a global initializer sliced
+                    // (and converted) to each rank's share, and per-rank
+                    // initializers.
+                    let local_shape = DistValue::local_shape(&out_shape, layout, gs);
+                    let init = Tensor::randn(out_shape.clone(), dtype(0), rng, 70_000);
+                    let per_rank: Vec<Tensor> = (0..gs)
+                        .map(|r| {
+                            Tensor::randn(local_shape.clone(), dtype(0), rng, 90_000 + 1_000 * r as u64)
+                        })
+                        .collect();
+                    let inputs = Inputs::new().global("x", init.clone()).per_rank("y", per_rank.clone());
+                    let declared = dtype(3);
+                    for (pos, own) in per_rank.iter().enumerate() {
+                        let case = format!("{out_shape} {layout} {declared:?} pos {pos}/{gs}");
+                        let got =
+                            materialize_input("x", &out_shape, layout, declared, &inputs, pos, pos, gs)
+                                .unwrap();
+                        let want = reference_share(&init, layout, declared, pos, gs);
+                        prop_assert_eq!(got.local.shape(), want.shape(), "global {}", case);
+                        prop_assert_eq!(bits(&got.local), bits(&want), "global {}", case);
+                        let got =
+                            materialize_input("y", &out_shape, layout, declared, &inputs, pos, pos, gs)
+                                .unwrap();
+                        let want = reference_share(own, Layout::Local, declared, 0, 1);
+                        prop_assert_eq!(bits(&got.local), bits(&want), "per-rank {}", case);
+                    }
+                }
+            }
+        }
     }
 }

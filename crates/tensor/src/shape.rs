@@ -123,23 +123,26 @@ impl Shape {
     /// linear index in `self`, replicating along broadcast dimensions.
     ///
     /// Used by the pointwise kernels to read a smaller operand as if it
-    /// had been materialized at the broadcast shape.
+    /// had been materialized at the broadcast shape. Allocation-free:
+    /// the coordinates peel off innermost first while `self`'s stride
+    /// accumulates alongside.
     pub fn broadcast_index(&self, target: &Shape, linear: usize) -> usize {
         debug_assert!(self.broadcasts_to(target));
         if self.dims == target.dims {
             return linear;
         }
-        let t_strides = target.strides();
-        let s_strides = self.strides();
-        let offset = target.rank() - self.rank();
+        let mut rest = linear;
+        let mut stride = 1usize;
         let mut out = 0usize;
-        for (i, (&t_dim_stride, &t_dim)) in t_strides.iter().zip(target.dims()).enumerate() {
-            let coord = (linear / t_dim_stride) % t_dim;
-            if i >= offset {
-                let s_dim = self.dims[i - offset];
-                let c = if s_dim == 1 { 0 } else { coord };
-                out += c * s_strides[i - offset];
+        // Zipping from the back aligns trailing dimensions; target's
+        // extra leading dimensions contribute nothing.
+        for (&t_dim, &s_dim) in target.dims.iter().rev().zip(self.dims.iter().rev()) {
+            let coord = rest % t_dim;
+            rest /= t_dim;
+            if s_dim != 1 {
+                out += coord * stride;
             }
+            stride *= s_dim;
         }
         out
     }

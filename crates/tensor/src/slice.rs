@@ -5,9 +5,10 @@
 //! per-rank slices and reassemble them. Leading-dimension slices and
 //! the flat chunks the ring collectives communicate are zero-copy
 //! copy-on-write views; only interior-dimension slices (strided in
-//! row-major order) materialize storage.
+//! row-major order) materialize storage, one contiguous row copy per
+//! index of the leading dimensions.
 
-use crate::tensor::BufferData;
+use crate::tensor::{Buffer, BufferData};
 use crate::{Shape, Tensor, TensorError};
 
 impl Tensor {
@@ -41,22 +42,34 @@ impl Tensor {
             let view = self.slice_flat(start * row, len * row)?;
             return view.reshape(out_shape);
         }
-        let in_strides = self.shape().strides();
-        let out_strides = out_shape.strides();
-        let out_dims = out_shape.dims().to_vec();
-        Ok(Tensor::from_fn(out_shape.clone(), self.dtype(), |linear| {
-            // Decompose the output index, shift the sliced coordinate,
-            // and recompose into the input index.
-            let mut src = 0usize;
-            for d in 0..out_dims.len() {
-                let mut coord = (linear / out_strides[d]) % out_dims[d];
-                if d == dim {
-                    coord += start;
-                }
-                src += coord * in_strides[d];
+        // Interior-dimension slices are one contiguous run per index of
+        // the leading dimensions: copy those runs in the stored type.
+        let inner: usize = self.shape().dims()[dim + 1..].iter().product();
+        let outer: usize = self.shape().dims()[..dim].iter().product();
+        let (row, skip, take) = (extent * inner, start * inner, len * inner);
+        fn gather<T: Copy>(
+            src: &[T],
+            outer: usize,
+            row: usize,
+            skip: usize,
+            take: usize,
+        ) -> Vec<T> {
+            let mut out = Vec::with_capacity(outer * take);
+            for o in 0..outer {
+                let at = o * row + skip;
+                out.extend_from_slice(&src[at..at + take]);
             }
-            self.get(src)
-        }))
+            out
+        }
+        let buf = match (self.buf.as_f32(), self.buf.as_f16()) {
+            (Some(v), _) => Buffer::from_f32_vec(gather(v, outer, row, skip, take)),
+            (_, Some(v)) => Buffer::from_f16_vec(gather(v, outer, row, skip, take)),
+            _ => unreachable!("buffer is F32 or F16"),
+        };
+        Ok(Tensor {
+            shape: out_shape,
+            buf,
+        })
     }
 
     /// Splits the tensor into `parts` equal slices along `dim`
@@ -267,6 +280,37 @@ mod tests {
             let pieces = t.split_even(0, parts).unwrap();
             let refs: Vec<&Tensor> = pieces.iter().collect();
             prop_assert_eq!(Tensor::concat(&refs, 0).unwrap(), t);
+        }
+
+        /// `slice_dim` copies exactly the elements a coordinate-wise
+        /// gather would, in either dtype, bit for bit.
+        #[test]
+        fn slice_dim_matches_coordinate_gather(
+            dims in prop::collection::vec(1usize..4, 1..4),
+            dim_pick in 0usize..3,
+            start_pick in 0usize..3,
+            len_pick in 0usize..3,
+            half in any::<bool>(),
+        ) {
+            let dim = dim_pick % dims.len();
+            let start = start_pick % dims[dim];
+            let len = 1 + len_pick % (dims[dim] - start);
+            let dtype = if half { DType::F16 } else { DType::F32 };
+            let t = Tensor::from_fn(dims.clone(), dtype, |i| i as f32 * 0.37 - 1.0);
+            let got = t.slice_dim(dim, start, len).unwrap();
+            let shape = Shape::new(dims.clone());
+            let (in_strides, out_strides) = (shape.strides(), got.shape().strides());
+            for linear in 0..got.numel() {
+                let mut src = 0;
+                for d in 0..dims.len() {
+                    let mut coord = (linear / out_strides[d]) % got.shape().dim(d);
+                    if d == dim {
+                        coord += start;
+                    }
+                    src += coord * in_strides[d];
+                }
+                prop_assert_eq!(got.get(linear).to_bits(), t.get(src).to_bits());
+            }
         }
 
         /// A flat slice of a flat write is the identity.

@@ -421,9 +421,10 @@ impl Tensor {
 
     /// Copies all elements out as `f32`.
     pub fn to_f32_vec(&self) -> Vec<f32> {
-        match self.buf.as_f32() {
-            Some(v) => v.to_vec(),
-            None => (0..self.numel()).map(|i| self.get(i)).collect(),
+        match (self.buf.as_f32(), self.buf.as_f16()) {
+            (Some(v), _) => v.to_vec(),
+            (_, Some(v)) => v.iter().map(|h| h.to_f32()).collect(),
+            _ => unreachable!("buffer is F32 or F16"),
         }
     }
 
@@ -469,12 +470,21 @@ impl Tensor {
         })
     }
 
-    /// Converts to another element type (no-op when equal).
+    /// Converts to another element type (no-op when equal): one
+    /// slice-to-slice pass, rounding to FP16 as
+    /// [`from_f32_vec`](Tensor::from_f32_vec) does.
     pub fn cast(&self, dtype: DType) -> Tensor {
         if dtype == self.dtype() {
             return self.clone();
         }
-        Tensor::from_fn(self.shape.clone(), dtype, |i| self.get(i))
+        let buf = match self.buf.as_f32() {
+            Some(v) => Buffer::from_f16_vec(v.iter().map(|&x| F16::from_f32(x)).collect()),
+            None => Buffer::from_f32_vec(self.to_f32_vec()),
+        };
+        Tensor {
+            shape: self.shape.clone(),
+            buf,
+        }
     }
 
     /// Elementwise comparison within mixed absolute/relative tolerance:
