@@ -33,7 +33,7 @@ use coconet_core::{
     BinaryOp, Binding, CollAlgo, CommConfig, CommSched, Layout, OpKind, Program, SliceDim, UnaryOp,
     VarId, XferSched,
 };
-use coconet_tensor::{CounterRng, DType, ReduceOp, Shape, Tensor, F16};
+use coconet_tensor::{kernels, CounterRng, DType, ReduceOp, Shape, Tensor, F16};
 use coconet_topology::Cluster;
 
 use crate::collectives::{
@@ -973,9 +973,7 @@ impl Staged {
             Staged::F16(v, stage) => {
                 let stage = &mut stage[..len];
                 f(stage);
-                for (h, &x) in v[at..at + len].iter_mut().zip(stage.iter()) {
-                    *h = F16::from_f32(x);
-                }
+                kernels::f16_encode_serial(stage, &mut v[at..at + len]);
             }
         }
     }
@@ -1127,9 +1125,7 @@ impl Pointwise<'_> {
                     let bl = BLOCK.min(len - b);
                     for (window, scratch) in windows.iter().zip(widened.chunks_mut(BLOCK)) {
                         if let Window::F16(v) = window {
-                            for (x, h) in scratch.iter_mut().zip(&v[b..b + bl]) {
-                                *x = h.to_f32();
-                            }
+                            kernels::f16_decode_serial(&v[b..b + bl], &mut scratch[..bl]);
                         }
                     }
                     let lanes = std::array::from_fn(|k| match windows[k] {

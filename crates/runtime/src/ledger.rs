@@ -384,6 +384,39 @@ mod tests {
             }
         }
 
+        /// The FP16 wire on an `F32` input: the ring AllReduce moves
+        /// exactly the analytic FP16 volume, copies nothing on write,
+        /// and allocates `k + 1` buffers — the encoded step-0 stripe,
+        /// one encoded stripe per fused hop (each carry and the owned
+        /// chunk are written straight onto the wire format, never as a
+        /// decoded and a folded `f32` stripe first), and the decoded
+        /// output: `2n/k + (k−1)·2n/k + 4n = 6n` bytes.
+        #[test]
+        fn fp16_ring_all_reduce_fuses_the_codec_into_each_hop() {
+            let (k, n) = (4usize, 64usize);
+            let results = metered(k, |comm, group, input| {
+                ring_all_reduce_wire_striped(
+                    comm,
+                    group,
+                    &input,
+                    ReduceOp::Sum,
+                    WireFormat::Fp16,
+                    1,
+                )
+            });
+            let wire = ring_all_reduce_wire_bytes(n, k, DType::F16);
+            assert_eq!(wire, (2 * (k - 1) * (n / k) * 2) as u64);
+            for (rank, (out, l)) in results.iter().enumerate() {
+                assert_eq!(out.dtype(), DType::F32);
+                assert_eq!(out.numel(), n);
+                assert_eq!(l.bytes_sent, wire, "rank {rank}");
+                assert_eq!(l.bytes_received, wire, "rank {rank}");
+                assert_eq!(l.cow_bytes, 0, "rank {rank}: {l:?}");
+                assert_eq!(l.allocations, k as u64 + 1, "rank {rank}: {l:?}");
+                assert_eq!(l.bytes_allocated, 6 * n as u64, "rank {rank}");
+            }
+        }
+
         /// Tree AllReduce: every non-root sends its tensor once up the
         /// reduction tree, and every internal node sends once per child
         /// on the way down — `2(p−1)` tensor payloads in aggregate.

@@ -12,6 +12,14 @@
 //!   fused out-of-place kernels writing fresh stripes (nothing is
 //!   detached copy-on-write), and an AllReduce's gathered stripes
 //!   decode straight into one output buffer when the last lane lands.
+//!   The wire encode points: the pristine step-0 stripe is encoded as
+//!   it is sent; every reduce-scatter hop's result — each carry, and an
+//!   AllReduce's owned chunk, whose one encoding seeds the gather — is
+//!   stored encoded, since it is only ever sent or gathered; a
+//!   ReduceScatter's own stripe stays in the working dtype. On the
+//!   FP16 wire over an `F32` working dtype each such hop is one fused
+//!   kernel, `narrow(op(local, widen(incoming)))` straight from the
+//!   received stripe, with no decoded or folded `f32` stripe between.
 //!   The schedule — chunk geometry, virtual-position reduce-scatter
 //!   order, `op(local, incoming)` fold order, wire encode points — is
 //!   fixed per element, so results are bit-identical at every lane
@@ -91,13 +99,12 @@ impl StripeElem for f32 {
     fn extend_decoded(out: &mut Vec<f32>, stripe: &Tensor) {
         match stripe.as_f32_slice() {
             Some(s) => out.extend_from_slice(s),
-            None => out.extend(
-                stripe
-                    .as_f16_slice()
-                    .expect("FP16 wire stripe")
-                    .iter()
-                    .map(|h| h.to_f32()),
-            ),
+            None => {
+                let s = stripe.as_f16_slice().expect("FP16 wire stripe");
+                let at = out.len();
+                out.resize(at + s.len(), 0.0);
+                kernels::f16_decode_serial(s, &mut out[at..]);
+            }
         }
     }
     fn tensor_from(shape: Shape, data: Vec<f32>) -> Tensor {
@@ -133,6 +140,22 @@ fn fold(local: &Tensor, incoming: &Tensor, op: ReduceOp) -> Tensor {
         DType::F32 => typed::<f32>(local, incoming, op),
         DType::F16 => typed::<F16>(local, incoming, op),
     }
+}
+
+/// The FP16 wire's fused hop for an `F32` working dtype:
+/// `narrow(op(local, widen(incoming)))` straight from the received
+/// stripe into one fresh wire stripe. Each element sees the same `f32`
+/// operation and rounding as a separate decode, fold and encode, so
+/// the bits match them, and so do the codec bytes it counts (the
+/// received stripe decoded, plus the result encoded).
+fn fold_wire_f16(local: &Tensor, incoming: &Tensor, op: ReduceOp) -> Tensor {
+    let bytes = 2 * incoming.size_bytes() as u64;
+    trace::metrics::add_counter(Counter::CodecBytes, bytes);
+    let _codec = trace::span(EventKind::Codec, "fp16:fold", bytes, 0);
+    let local = <f32 as StripeElem>::slice(local);
+    let mut out = vec![F16::ZERO; local.len()];
+    kernels::reduce_wire_f16_out(local, <F16 as StripeElem>::slice(incoming), &mut out, op);
+    F16::tensor_from(Shape::from([out.len()]), out)
 }
 
 /// Concatenates `parts` into one fresh flat tensor of `dtype`,
@@ -220,7 +243,8 @@ pub struct RingJob {
     /// The full input (AllReduce, ReduceScatter) or the wire-encoded
     /// own chunk (AllGather).
     input: Tensor,
-    /// The stripe folded last reduce-scatter step — this step's payload.
+    /// The stripe folded last reduce-scatter step, wire-encoded — this
+    /// step's payload.
     carry: Option<Tensor>,
     /// This lane's stripe of every chunk, by group position: the
     /// wire-encoded gathered stripes, or (ReduceScatter) only the own
@@ -323,6 +347,28 @@ impl RingJob {
         comm.send_job(dst, self.tag, self.class, WireMsg::Tensor(payload));
     }
 
+    /// Folds a received wire stripe into this rank's stripe of chunk
+    /// `c` as `op(local, incoming)`, returning it wire-encoded when
+    /// `encode`. An encoded hop on the FP16 wire over an `F32` working
+    /// dtype runs the fused widen-fold-narrow kernel; every other hop
+    /// decodes, folds and encodes in turn.
+    fn fold_hop(&self, c: usize, incoming: Tensor, encode: bool) -> Tensor {
+        let local = self.stripe_of(&self.input, c);
+        if encode && self.wire == WireFormat::Fp16 && local.dtype() == DType::F32 {
+            return fold_wire_f16(&local, &incoming, self.op);
+        }
+        let folded = fold(
+            &local,
+            &wire_decode(incoming, self.wire, local.dtype()),
+            self.op,
+        );
+        if encode {
+            wire_encode(&folded, self.wire)
+        } else {
+            folded
+        }
+    }
+
     /// Advances the job by at most one chunk hop: sends this step's
     /// stripe if it is not on the wire yet, then polls for the incoming
     /// stripe and folds/stores it. Returns `true` if anything moved.
@@ -340,36 +386,40 @@ impl RingJob {
                 let send_c = (j + k - step) % k;
                 let recv_c = (j + k - step - 1) % k;
                 if !sent {
-                    // Step 0 sends a pristine input view; later steps
-                    // forward the stripe folded last step.
+                    // Step 0 encodes a pristine input view; later steps
+                    // forward the stripe folded (and encoded) last step.
                     let payload = match self.carry.take() {
-                        Some(folded) => folded,
-                        None => self.stripe_of(&self.input, send_c),
+                        Some(encoded) => encoded,
+                        None => wire_encode(&self.stripe_of(&self.input, send_c), self.wire),
                     };
-                    self.send(comm, next, "ring:rs", wire_encode(&payload, self.wire));
+                    self.send(comm, next, "ring:rs", payload);
                     self.phase = Phase::ReduceScatter { step, sent: true };
                     progressed = true;
                 }
                 if let Some(msg) = comm.try_recv_tagged(prev, self.tag) {
-                    let incoming = wire_decode(expect_tensor(msg), self.wire, self.input.dtype());
-                    let folded = fold(&self.stripe_of(&self.input, recv_c), &incoming, self.op);
+                    let last = step + 1 == k - 1;
+                    // Every carry, and an AllReduce's owned chunk (whose
+                    // one encoding seeds the gather), is only ever sent
+                    // or stored wire-encoded; a ReduceScatter's own
+                    // stripe is the caller's result.
+                    let encode = !(last && self.kind == RingKind::ReduceScatter);
+                    let folded = self.fold_hop(recv_c, expect_tensor(msg), encode);
                     progressed = true;
-                    self.phase = if step + 1 < k - 1 {
+                    self.phase = if !last {
                         self.carry = Some(folded);
                         Phase::ReduceScatter {
                             step: step + 1,
                             sent: false,
                         }
-                    } else if self.kind == RingKind::ReduceScatter {
-                        self.stripes[me] = Some(folded);
-                        Phase::Done
                     } else {
-                        // Position `me` owns the fully reduced chunk:
-                        // its one wire encoding seeds the gather.
-                        self.stripes[me] = Some(wire_encode(&folded, self.wire));
-                        Phase::AllGather {
-                            step: 0,
-                            sent: false,
+                        self.stripes[me] = Some(folded);
+                        if self.kind == RingKind::ReduceScatter {
+                            Phase::Done
+                        } else {
+                            Phase::AllGather {
+                                step: 0,
+                                sent: false,
+                            }
                         }
                     };
                 }

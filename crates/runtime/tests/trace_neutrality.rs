@@ -2,10 +2,13 @@
 //! with span recording enabled has to produce bit-identical outputs,
 //! final parameters, and ledger counters (aggregate, per-class, and
 //! switch-attributed) versus a run with tracing disabled — across
-//! collective algorithms, wire formats, and schedules. On top of
-//! neutrality, the emitted traces themselves must be well formed:
-//! spans properly nested, per-thread timestamps monotone, and every
-//! scheduler enqueue matched by a completion.
+//! collective algorithms, wire formats, and schedules — and the same
+//! completions: in the same order under the barrier, and as the same
+//! set of jobs per rank under the priority schedule, whose completion
+//! order follows message timing (two untraced runs already differ).
+//! On top of neutrality, the emitted traces themselves must be well
+//! formed: spans properly nested, per-thread timestamps monotone, and
+//! every scheduler enqueue matched by a completion.
 
 use coconet_compress::WireFormat;
 use coconet_core::{CollAlgo, CommSched, XferSched};
@@ -67,10 +70,25 @@ fn run_loop(
     })
 }
 
-fn assert_outcomes_identical(untraced: &[RankOutcome], traced: &[RankOutcome]) {
+/// The completion ids the schedule determines: the exact order under
+/// the barrier; under the priority schedule, where the order follows
+/// message timing, the set of completed jobs, sorted.
+fn settled_ids(ids: &[u64], sched: CommSched) -> Vec<u64> {
+    let mut settled = ids.to_vec();
+    if sched == CommSched::Priority {
+        settled.sort_unstable();
+    }
+    settled
+}
+
+fn assert_outcomes_identical(sched: CommSched, untraced: &[RankOutcome], traced: &[RankOutcome]) {
     assert_eq!(untraced.len(), traced.len());
     for (rank, ((pu, lu, bu), (pt, lt, bt))) in untraced.iter().zip(traced).enumerate() {
-        assert_eq!(lu, lt, "rank {rank}: completion order perturbed");
+        assert_eq!(
+            settled_ids(lu, sched),
+            settled_ids(lt, sched),
+            "rank {rank}: completions perturbed"
+        );
         assert_eq!(bu, bt, "rank {rank}: ledger counters perturbed");
         assert_eq!(pu.len(), pt.len());
         for (l, (a, b)) in pu.iter().zip(pt).enumerate() {
@@ -139,9 +157,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(7))]
 
     /// Bit-identical outputs, parameters, and ledgers (including
-    /// per-class byte counters) with tracing enabled vs. disabled,
-    /// across algorithms, wire formats, schedules, lane widths, and
-    /// transfer disciplines.
+    /// per-class byte counters), and the same completions, with
+    /// tracing enabled vs. disabled, across algorithms, wire formats,
+    /// schedules, lane widths, and transfer disciplines.
     #[test]
     fn tracing_is_observationally_neutral(case in 0usize..CONFIGS.len()) {
         let (algo, wire, sched, channels, xfer) = CONFIGS[case];
@@ -153,8 +171,36 @@ proptest! {
         let traced = run_loop(algo, wire, sched, channels, xfer);
         trace::set_enabled(false);
         trace::clear();
-        assert_outcomes_identical(&untraced, &traced);
+        assert_outcomes_identical(sched, &untraced, &traced);
     }
+}
+
+/// The FP16 wire's fused fold counts the codec bytes the separate
+/// decode and encode of each hop did: a 4-rank, 64-element `F32` ring
+/// AllReduce publishes 352 codec bytes per rank — the encoded step-0
+/// stripe (32), three hops each decoding and encoding a 16-element
+/// stripe (3 × 64), and the gathered stripes decoded into the output
+/// (128). The counter is process-global, so it is read under the gate.
+#[test]
+fn fp16_ring_codec_bytes_count_each_hops_decode_and_encode() {
+    use coconet_runtime::ring_all_reduce_wire_striped;
+    use coconet_tensor::ReduceOp;
+    use trace::metrics::Counter;
+
+    let _gate = GATE.lock().unwrap();
+    trace::clear();
+    trace::set_enabled(true);
+    let before = trace::metrics::counter(Counter::CodecBytes);
+    let k = 4usize;
+    run_ranks(k, move |comm| {
+        let input = Tensor::from_fn([64], DType::F32, |i| (comm.rank() * 100 + i) as f32);
+        let group = Group { start: 0, size: k };
+        ring_all_reduce_wire_striped(&comm, group, &input, ReduceOp::Sum, WireFormat::Fp16, 1)
+    });
+    let codec = trace::metrics::counter(Counter::CodecBytes) - before;
+    trace::set_enabled(false);
+    trace::clear();
+    assert_eq!(codec, 4 * 352);
 }
 
 /// A traced priority-schedule run produces a well-formed trace: spans

@@ -25,7 +25,12 @@ use std::fmt;
 /// assert_eq!(x.to_f32(), 1.5);
 /// assert_eq!((x + x).to_f32(), 3.0);
 /// ```
+///
+/// `F16` is layout-identical to `u16`, so the vectorized codecs in
+/// [`kernels`](crate::kernels) can move a slice of halves as raw
+/// 16-bit lanes.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
+#[repr(transparent)]
 pub struct F16(u16);
 
 impl F16 {

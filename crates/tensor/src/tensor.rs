@@ -265,7 +265,7 @@ impl Tensor {
         }
         let buf = match dtype {
             DType::F32 => Buffer::from_f32_vec(data),
-            DType::F16 => Buffer::from_f16_vec(data.into_iter().map(F16::from_f32).collect()),
+            DType::F16 => Buffer::from_f16_vec(encoded(&data)),
         };
         Ok(Tensor { shape, buf })
     }
@@ -423,7 +423,11 @@ impl Tensor {
     pub fn to_f32_vec(&self) -> Vec<f32> {
         match (self.buf.as_f32(), self.buf.as_f16()) {
             (Some(v), _) => v.to_vec(),
-            (_, Some(v)) => v.iter().map(|h| h.to_f32()).collect(),
+            (_, Some(v)) => {
+                let mut out = vec![0.0; v.len()];
+                crate::kernels::f16_decode_serial(v, &mut out);
+                out
+            }
             _ => unreachable!("buffer is F32 or F16"),
         }
     }
@@ -478,7 +482,7 @@ impl Tensor {
             return self.clone();
         }
         let buf = match self.buf.as_f32() {
-            Some(v) => Buffer::from_f16_vec(v.iter().map(|&x| F16::from_f32(x)).collect()),
+            Some(v) => Buffer::from_f16_vec(encoded(v)),
             None => Buffer::from_f32_vec(self.to_f32_vec()),
         };
         Tensor {
@@ -518,6 +522,13 @@ impl Tensor {
             .map(|i| (self.get(i) - other.get(i)).abs())
             .fold(0.0, f32::max)
     }
+}
+
+/// `v` rounded to FP16 through the kernel engine's encode.
+fn encoded(v: &[f32]) -> Vec<F16> {
+    let mut out = vec![F16::ZERO; v.len()];
+    crate::kernels::f16_encode_serial(v, &mut out);
+    out
 }
 
 #[cfg(test)]
